@@ -128,6 +128,7 @@ func runLitmusCase(tc litmus.Case, worker int, opts LitmusSweepOptions, reg *tel
 		return res
 	}
 	var total int64
+	var drfrlx *memmodel.Verdict
 	if !opts.TheoremOnly {
 		for _, m := range core.Models() {
 			co := opts.Check
@@ -143,15 +144,27 @@ func runLitmusCase(tc litmus.Case, worker int, opts LitmusSweepOptions, reg *tel
 			}
 			res.Verdicts = append(res.Verdicts, v)
 			total += int64(v.Execs)
+			if m == core.DRFrlx {
+				drfrlx = v
+			}
 		}
 	}
 	sysTel := reg.NewCheck(tc.Prog.Name, "system")
 	sysTel.SetSuiteWorker(worker)
-	co := opts.Check
-	// The per-model loop already instrumented the DRFrlx programmer-
-	// centric check; only the system-model search gets its own check here.
-	co.Telemetry = nil
-	rep, err := memmodel.ValidateTheoremWith(tc.Prog, co, sysTel)
+	var rep *memmodel.TheoremReport
+	var err error
+	if drfrlx != nil {
+		// The theorem compares the system model's results with the DRFrlx
+		// verdict the per-model loop already computed.
+		rep, err = memmodel.ValidateTheoremVerdict(tc.Prog, drfrlx, opts.Check.Limit, sysTel)
+	} else {
+		// TheoremOnly: the programmer-centric check runs here, without a
+		// telemetry check of its own; only the system-model search is
+		// instrumented.
+		co := opts.Check
+		co.Telemetry = nil
+		rep, err = memmodel.ValidateTheoremWith(tc.Prog, co, sysTel)
+	}
 	if sysTel != nil {
 		res.Checks = append(res.Checks, sysTel)
 	}

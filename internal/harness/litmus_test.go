@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -55,6 +56,15 @@ func TestLitmusSweepMatchesDirectChecks(t *testing.T) {
 		}
 		if r.Theorem == nil || (r.Theorem.Legal && !r.Theorem.SystemSC) {
 			t.Errorf("%s: theorem report %+v", r.Case.Prog.Name, r.Theorem)
+		}
+		// The sweep validates the theorem from its own DRFrlx verdict; the
+		// report must equal the full check's.
+		want, err := memmodel.ValidateTheorem(r.Case.Prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(r.Theorem, want) {
+			t.Errorf("%s: theorem report %+v, ValidateTheorem gives %+v", r.Case.Prog.Name, r.Theorem, want)
 		}
 		if len(r.Checks) != 0 {
 			t.Errorf("%s: checks registered without a registry", r.Case.Prog.Name)
@@ -127,7 +137,8 @@ func TestLitmusSweepTelemetryDeterministic(t *testing.T) {
 }
 
 // TestLitmusSweepTheoremOnly: theorem-only sweeps skip verdicts but keep
-// the instrumented system-model check.
+// the instrumented system-model check, and their full check reports
+// what a sweep reusing its DRFrlx verdict reports.
 func TestLitmusSweepTheoremOnly(t *testing.T) {
 	suite := smallSuite()[:2]
 	reg := telemetry.NewRegistry()
@@ -138,7 +149,14 @@ func TestLitmusSweepTheoremOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range results {
+	full, err := LitmusSweep(suite, LitmusSweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if !reflect.DeepEqual(r.Theorem, full[i].Theorem) {
+			t.Errorf("%s: theorem-only report %+v, full sweep %+v", r.Case.Prog.Name, r.Theorem, full[i].Theorem)
+		}
 		if r.Verdicts != nil {
 			t.Errorf("%s: theorem-only sweep produced verdicts", r.Case.Prog.Name)
 		}

@@ -150,9 +150,9 @@ func (h *Histogram) Each(fn func(upper, count int64)) {
 
 // Summary bundles the quantiles a latency table wants.
 type Summary struct {
-	Count                     int64
-	P50, P90, P99, P999, Max  int64
-	Mean                      float64
+	Count                    int64
+	P50, P90, P99, P999, Max int64
+	Mean                     float64
 }
 
 // Summarize computes the standard latency summary.

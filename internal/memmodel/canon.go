@@ -239,6 +239,22 @@ func threadSig(t *litmus.Thread, locLabel map[litmus.Loc]string) string {
 	return strings.Join(sigs, "\x02")
 }
 
+// SymmetryKey serializes a thread by its register count and every
+// semantic field of its ops (class, atomic op, location name,
+// destination register, operand and expected expressions, address
+// dependencies, guards, branch conditions). Two threads of one program
+// with equal keys are interchangeable: swapping them is a program
+// automorphism, which is what thread-symmetry reductions rely on.
+func SymmetryKey(t *litmus.Thread) string {
+	names := map[litmus.Loc]string{}
+	for i := range t.Ops {
+		if !t.Ops[i].IsBranch {
+			names[t.Ops[i].Loc] = string(t.Ops[i].Loc)
+		}
+	}
+	return strconv.Itoa(t.NumRegs()) + "\x00" + threadSig(t, names)
+}
+
 // RewriteVerdict maps a verdict computed on the canonical program back
 // into the original program's namespace: race descriptions go through the
 // thread permutation (re-normalizing each pair's orientation to the

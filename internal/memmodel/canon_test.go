@@ -119,6 +119,53 @@ func TestCanonicalKeyDistinguishesClasses(t *testing.T) {
 	}
 }
 
+// TestSymmetryKeySeparatesSemanticFields: threads that differ only in a
+// field Op.String leaves out — a stored constant, a CAS's expected
+// value, a guard, an address dependency — get different symmetry keys,
+// while an identical thread shares its key.
+func TestSymmetryKeySeparatesSemanticFields(t *testing.T) {
+	type variant struct {
+		stored, expected int64
+		guard            func(litmus.Reg) litmus.Guard
+		dep              bool
+	}
+	p := litmus.New("symmetry")
+	build := func(v variant) string {
+		th := p.Thread("t" + string(rune('a'+len(p.Threads))))
+		r := th.Load("F", core.Unpaired)
+		th.WithGuards(v.guard(r))
+		th.Store("X", v.stored, core.Data)
+		th.EndGuards()
+		th.CAS("Y", v.expected, 1, core.Paired)
+		if v.dep {
+			th.LoadDep("Z", r, core.Data)
+		} else {
+			th.Load("Z", core.Data)
+		}
+		return SymmetryKey(th)
+	}
+	base := variant{stored: 1, expected: 0, guard: litmus.NZ}
+	keys := map[string]string{"base": build(base)}
+	for name, v := range map[string]variant{
+		"stored":   {stored: 0, expected: 0, guard: litmus.NZ},
+		"expected": {stored: 1, expected: 2, guard: litmus.NZ},
+		"guard":    {stored: 1, expected: 0, guard: litmus.EQZ},
+		"addrdep":  {stored: 1, expected: 0, guard: litmus.NZ, dep: true},
+	} {
+		keys[name] = build(v)
+	}
+	seen := map[string]string{}
+	for name, k := range keys {
+		if other, ok := seen[k]; ok {
+			t.Errorf("threads %q and %q share the symmetry key %q", name, other, k)
+		}
+		seen[k] = name
+	}
+	if twin := build(base); twin != keys["base"] {
+		t.Errorf("identical threads got different keys:\n%q\n%q", twin, keys["base"])
+	}
+}
+
 // TestCanonicalNormalizesSpelling checks that explicit zero initializers,
 // register order inside sum expressions, and guard order inside
 // conjunctions do not affect the key.

@@ -1,0 +1,188 @@
+package memmodel
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strconv"
+	"testing"
+
+	"rats/internal/core"
+	"rats/internal/litmus"
+	"rats/internal/memmodel/telemetry"
+)
+
+// orderStats streams the SC executions of p under m exactly as the
+// checker enumerates them and counts executions and distinct total
+// orders.
+func orderStats(t *testing.T, p *litmus.Program, m core.Model) (execs, orders int64) {
+	t.Helper()
+	seen := map[string]bool{}
+	_, err := Enumerate(p.Under(m), EnumOptions{
+		Quantum: true, Sequential: true,
+		Visit: func(ex *Execution) error {
+			execs++
+			seen[fmt.Sprint(ex.Order)] = true
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatalf("%s/%s: %v", p.Name, m, err)
+	}
+	return execs, int64(len(seen))
+}
+
+// TestOrderDeterminesRaces is the order memo's premise: Analyze reads an
+// execution's order and the Present set it fixes, never the values the
+// quantum transformation chose, so every catalog execution that shares
+// its Order with an earlier one has the same races.
+func TestOrderDeterminesRaces(t *testing.T) {
+	for _, tc := range litmus.Suite() {
+		an := NewAnalyzer()
+		first := map[string][NumRaceKinds][][2]int{}
+		repeats := 0
+		_, err := Enumerate(tc.Prog.Under(core.DRFrlx), EnumOptions{
+			Quantum: true, Sequential: true,
+			Visit: func(ex *Execution) error {
+				key := fmt.Sprint(ex.Order)
+				var races [NumRaceKinds][][2]int
+				for k, pairs := range an.Analyze(ex).Races {
+					races[k] = append([][2]int{}, pairs...)
+				}
+				want, ok := first[key]
+				if !ok {
+					first[key] = races
+					return nil
+				}
+				repeats++
+				if !reflect.DeepEqual(races, want) {
+					return fmt.Errorf("order %s: races %v, first execution of the order had %v", key, races, want)
+				}
+				return nil
+			},
+		})
+		if err != nil {
+			t.Errorf("%s: %v", tc.Prog.Name, err)
+		}
+		if newOrderMemo(tc.Prog.Under(core.DRFrlx)) == nil && repeats != 0 {
+			t.Errorf("%s: no quantum ops, yet %d executions repeat an order", tc.Prog.Name, repeats)
+		}
+	}
+}
+
+// randomQuantumProgram generates small random programs for the order
+// memo's differential check: every class including Quantum, a quantum
+// domain of three values, and ops guarded on an earlier load's value, so
+// quantum value choices both repeat orders and change which events are
+// present.
+func randomQuantumProgram(seed int64) *litmus.Program {
+	rng := rand.New(rand.NewSource(seed))
+	classes := core.Classes()
+	locs := []litmus.Loc{"X", "Y"}
+	p := litmus.New("quantum" + strconv.FormatInt(seed, 10))
+	p.QuantumDomain = []int64{0, 1, 2}
+	nThreads := 2 + rng.Intn(2)
+	for t := 0; t < nThreads; t++ {
+		th := p.Thread("t" + strconv.Itoa(t))
+		last := litmus.NoReg
+		nOps := 2 + rng.Intn(2)
+		for i := 0; i < nOps; i++ {
+			c := classes[rng.Intn(len(classes))]
+			loc := locs[rng.Intn(len(locs))]
+			guarded := last != litmus.NoReg && rng.Intn(2) == 0
+			if guarded {
+				th.WithGuards(litmus.EQConst(last, int64(rng.Intn(3))))
+			}
+			switch rng.Intn(3) {
+			case 0:
+				last = th.Load(loc, c)
+			case 1:
+				th.Store(loc, int64(rng.Intn(3)), c)
+			default:
+				last = th.RMW(core.OpInc, loc, 0, c)
+			}
+			if guarded {
+				th.EndGuards()
+			}
+		}
+	}
+	return p
+}
+
+// TestStreamingMatchesMaterializeRandom extends the streaming pipeline's
+// determinism contract past the catalog: on seeded random programs, the
+// memo-free Materialize reference and streaming at one and two workers
+// agree under every model, and the checks analyze exactly one execution
+// per distinct order.
+func TestStreamingMatchesMaterializeRandom(t *testing.T) {
+	seeds := 300
+	if testing.Short() {
+		seeds = 50
+	}
+	memoized := 0
+	for seed := int64(0); seed < int64(seeds); seed++ {
+		p := randomQuantumProgram(seed)
+		for _, m := range []core.Model{core.DRF0, core.DRF1, core.DRFrlx} {
+			want, err := CheckProgramWith(p, m, CheckOptions{Materialize: true})
+			if err != nil {
+				t.Fatalf("seed %d/%s materialize: %v", seed, m, err)
+			}
+			execs, orders := orderStats(t, p, m)
+			if execs > orders {
+				memoized++
+			}
+			for _, workers := range []int{1, 2} {
+				c := telemetry.NewCheck(p.Name, m.String())
+				got, err := CheckProgramWith(p, m, CheckOptions{Workers: workers, Telemetry: c})
+				if err != nil {
+					t.Fatalf("seed %d/%s workers=%d: %v", seed, m, workers, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("seed %d/%s workers=%d: verdict diverges\n got: %+v\nwant: %+v",
+						seed, m, workers, got, want)
+				}
+				if s := c.Snapshot(); s.Executions != execs || s.Analyzed != orders {
+					t.Errorf("seed %d/%s workers=%d: %d executions, %d analyzed; want %d, %d",
+						seed, m, workers, s.Executions, s.Analyzed, execs, orders)
+				}
+			}
+		}
+	}
+	// Guard against a generator that stops exercising the memo.
+	if memoized < seeds/4 {
+		t.Errorf("only %d of %d seed/model checks repeat an order", memoized, 3*seeds)
+	}
+}
+
+// TestOrderMemoCap: the memo stops growing at orderMemoCap entries, so a
+// check's memory stays bounded; orders beyond the cap are analyzed every
+// time they recur, and memoized ones are still skipped.
+func TestOrderMemoCap(t *testing.T) {
+	m := &orderMemo{seen: map[string]struct{}{}, skipped: newPartialVerdict()}
+	analyzed, released := 0, 0
+	visit := m.wrap(func(*Execution) { released++ }, func(*Execution) error {
+		analyzed++
+		return nil
+	})
+	n := orderMemoCap + 10
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < n; i++ {
+			if err := visit(&Execution{Order: []int{i / 256, i % 256}, key: "X=0;"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(m.seen) != orderMemoCap {
+		t.Errorf("memo holds %d orders, want the cap %d", len(m.seen), orderMemoCap)
+	}
+	if want := n + 10; analyzed != want {
+		t.Errorf("analyzed %d executions, want %d (every order once, the 10 past the cap twice)", analyzed, want)
+	}
+	if released != orderMemoCap || m.skipped.execs != orderMemoCap {
+		t.Errorf("skipped %d and released %d executions, want %d each", m.skipped.execs, released, orderMemoCap)
+	}
+	if !m.skipped.scResults["X=0;"] {
+		t.Errorf("skipped executions lost their SC result: %v", m.skipped.scResults)
+	}
+
+}

@@ -2,6 +2,7 @@ package memmodel
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -231,9 +232,11 @@ type Verdict struct {
 	// Races collects, per kind, the distinct racy op pairs found across
 	// executions, described as "thread.opindex" strings.
 	Races map[RaceKind][]string
-	// Execs is the number of SC executions analyzed. The enumerator
-	// applies partial-order reduction, so this counts one representative
-	// per trace of commuting accesses, not every interleaving.
+	// Execs is the number of SC executions checked (an execution whose
+	// order was already analyzed counts without being analyzed again).
+	// The enumerator applies partial-order reduction, so this counts one
+	// representative per trace of commuting accesses, not every
+	// interleaving.
 	Execs int
 	// SCResults is the set of final memory states over all SC executions
 	// of the (quantum-equivalent) program.
@@ -388,6 +391,7 @@ func CheckProgramWith(p0 *litmus.Program, m core.Model, opts CheckOptions) (*Ver
 		maxWorkers = runtime.GOMAXPROCS(0)
 	}
 	eo.Sequential = true
+	memo := newOrderMemo(p)
 	if maxWorkers == 1 {
 		// Single-worker streaming runs the analysis inline in the Visit
 		// callback: no channel, no goroutine hand-off, and one Execution
@@ -402,12 +406,13 @@ func CheckProgramWith(p0 *litmus.Program, m core.Model, opts CheckOptions) (*Ver
 			spare = nil
 			return ex
 		}
-		eo.Visit = func(ex *Execution) error {
+		release := func(ex *Execution) { spare = ex }
+		eo.Visit = memo.wrap(release, func(ex *Execution) error {
 			pv.add(an.Analyze(ex), kinds)
 			w.IncAnalyzed()
-			spare = ex
+			release(ex)
 			return nil
-		}
+		})
 		// Enumeration and analysis interleave on one goroutine, so a
 		// single span covers both.
 		en := sp.Child("enumerate")
@@ -420,7 +425,7 @@ func CheckProgramWith(p0 *litmus.Program, m core.Model, opts CheckOptions) (*Ver
 			return nil, err
 		}
 		mg := sp.Child("merge")
-		v := finishVerdict(p0.Name, m, []*partialVerdict{pv}, tel)
+		v := finishVerdict(p0.Name, m, memo.shards([]*partialVerdict{pv}), tel)
 		mg.End()
 		tel.Finish(telemetry.StateDone)
 		return v, nil
@@ -498,13 +503,15 @@ func CheckProgramWith(p0 *litmus.Program, m core.Model, opts CheckOptions) (*Ver
 		ex, _ := exPool.Get().(*Execution)
 		return ex
 	}
-	eo.Visit = func(ex *Execution) error {
+	// Executions the order memo skips never reach the channel: the memo
+	// counts them into a shard of its own on the producer side.
+	eo.Visit = memo.wrap(func(ex *Execution) { exPool.Put(ex) }, func(ex *Execution) error {
 		if len(ch) > len(parts) && len(parts) < maxWorkers {
 			spawn()
 		}
 		ch <- ex
 		return nil
-	}
+	})
 	en := sp.Child("enumerate")
 	tel.SetSpan(en)
 	_, err := Enumerate(p, eo)
@@ -517,10 +524,77 @@ func CheckProgramWith(p0 *litmus.Program, m core.Model, opts CheckOptions) (*Ver
 		return nil, err
 	}
 	mg := sp.Child("merge")
-	v := finishVerdict(p0.Name, m, parts, tel)
+	v := finishVerdict(p0.Name, m, memo.shards(parts), tel)
 	mg.End()
 	tel.Finish(telemetry.StateDone)
 	return v, nil
+}
+
+// orderMemoCap bounds the order memo, so a check's memory stays bounded
+// however many distinct orders its program has. Orders first seen after
+// the memo is full are analyzed every time they recur.
+const orderMemoCap = 1 << 14
+
+// orderMemo lets the streaming pipeline analyze each SC total order once.
+// Analyze reads an execution's Order and the Present set it fixes (plus
+// the program's static ops), never the values moved, so executions that
+// share an order share their races. The quantum transformation repeats
+// every order once per choice of domain values; a repeat adds only its
+// execution count and SC result to the verdict.
+type orderMemo struct {
+	seen map[string]struct{}
+	key  []byte
+	// skipped is the verdict shard of the executions the memo kept from
+	// analysis.
+	skipped *partialVerdict
+}
+
+// newOrderMemo returns the memo for p under its model, or nil when p has
+// no Quantum-class ops: without value choices the sleep-set enumerator
+// never produces the same order twice.
+func newOrderMemo(p *litmus.Program) *orderMemo {
+	for _, th := range p.Threads {
+		for i := range th.Ops {
+			if !th.Ops[i].IsBranch && th.Ops[i].Class == core.Quantum {
+				return &orderMemo{seen: map[string]struct{}{}, skipped: newPartialVerdict()}
+			}
+		}
+	}
+	return nil
+}
+
+// wrap puts the memo in front of a pipeline's Visit on the producer side:
+// an execution whose order was already analyzed in this check is counted
+// into the memo's shard and handed to release instead of reaching
+// analyze. A nil memo returns analyze unchanged.
+func (m *orderMemo) wrap(release func(*Execution), analyze func(*Execution) error) func(*Execution) error {
+	if m == nil {
+		return analyze
+	}
+	return func(ex *Execution) error {
+		m.key = m.key[:0]
+		for _, id := range ex.Order {
+			m.key = binary.AppendUvarint(m.key, uint64(id))
+		}
+		if _, ok := m.seen[string(m.key)]; ok {
+			m.skipped.count(ex)
+			release(ex)
+			return nil
+		}
+		if len(m.seen) < orderMemoCap {
+			m.seen[string(m.key)] = struct{}{}
+		}
+		return analyze(ex)
+	}
+}
+
+// shards adds the memo's shard to the analysis workers' verdict shards
+// (none for a nil memo).
+func (m *orderMemo) shards(parts []*partialVerdict) []*partialVerdict {
+	if m == nil {
+		return parts
+	}
+	return append(parts, m.skipped)
 }
 
 // stateForErr maps a check error onto its terminal telemetry state.
@@ -551,10 +625,16 @@ func newPartialVerdict() *partialVerdict {
 	return &partialVerdict{scResults: map[string]bool{}}
 }
 
-func (pv *partialVerdict) add(a *Analysis, kinds []RaceKind) {
+// count adds the part of an execution's contribution that needs no
+// analysis: the execution itself and its SC result.
+func (pv *partialVerdict) count(ex *Execution) {
 	pv.execs++
-	ex := a.Exec
 	pv.scResults[ex.ResultKey()] = true
+}
+
+func (pv *partialVerdict) add(a *Analysis, kinds []RaceKind) {
+	ex := a.Exec
+	pv.count(ex)
 	for _, k := range kinds {
 		for _, pr := range a.Races[k] {
 			desc, ok := pv.descCache[pr]

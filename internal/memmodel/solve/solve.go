@@ -324,12 +324,12 @@ func buildConstraints(an *memmodel.Analyzer, p *litmus.Program, m core.Model) *c
 		}
 	}
 
-	// Thread-symmetry classes by exact op-list identity.
+	// Thread-symmetry classes by semantic op-list identity (constants,
+	// guards and dependencies included, not just Op.String's summary).
 	sig := map[string]int{}
 	cs.classOf = make([]int, nT)
 	for t := range p.Threads {
-		th := p.Threads[t]
-		key := fmt.Sprintf("%d\x00%+v", th.NumRegs(), th.Ops)
+		key := memmodel.SymmetryKey(p.Threads[t])
 		ci, ok := sig[key]
 		if !ok {
 			ci = len(cs.classThreads)

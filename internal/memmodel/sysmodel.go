@@ -1,6 +1,8 @@
 package memmodel
 
 import (
+	"fmt"
+	"sort"
 	"strconv"
 	"time"
 
@@ -310,7 +312,19 @@ func ValidateTheoremWith(p *litmus.Program, opts CheckOptions, sysTel *telemetry
 	if err != nil {
 		return nil, err
 	}
-	sys, err := SystemResultsWith(p.Under(core.DRFrlx), opts.Limit, sysTel)
+	return ValidateTheoremVerdict(p, verdict, opts.Limit, sysTel)
+}
+
+// ValidateTheoremVerdict validates Theorem 3.1 against verdict, an
+// already computed DRFrlx verdict of p (from CheckProgramWith in any
+// mode), so a caller that checked p under DRFrlx anyway pays only for
+// the system-model search. limit bounds that search (0 = DefaultLimit)
+// and sysTel instruments it.
+func ValidateTheoremVerdict(p *litmus.Program, verdict *Verdict, limit int, sysTel *telemetry.Check) (*TheoremReport, error) {
+	if verdict.Model != core.DRFrlx {
+		return nil, fmt.Errorf("memmodel: Theorem 3.1 needs the DRFrlx verdict of %s, got %s", p.Name, verdict.Model)
+	}
+	sys, err := SystemResultsWith(p.Under(core.DRFrlx), limit, sysTel)
 	if err != nil {
 		return nil, err
 	}
@@ -324,5 +338,6 @@ func ValidateTheoremWith(p *litmus.Program, opts CheckOptions, sysTel *telemetry
 			rep.NonSCResults = append(rep.NonSCResults, k)
 		}
 	}
+	sort.Strings(rep.NonSCResults)
 	return rep, nil
 }

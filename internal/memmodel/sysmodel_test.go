@@ -2,6 +2,7 @@ package memmodel
 
 import (
 	"math/rand"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -112,6 +113,37 @@ func TestTheoremOnSuite(t *testing.T) {
 					tc.Prog.Name, rep.NonSCResults)
 			}
 		})
+	}
+}
+
+// TestValidateTheoremVerdictMatchesFullCheck: validating Theorem 3.1
+// from a DRFrlx verdict the caller already has gives exactly the report
+// of the full check on every catalog program, and a verdict under any
+// other model is refused.
+func TestValidateTheoremVerdictMatchesFullCheck(t *testing.T) {
+	for _, tc := range litmus.Suite() {
+		want, err := ValidateTheorem(tc.Prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := CheckProgram(tc.Prog, core.DRFrlx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ValidateTheoremVerdict(tc.Prog, v, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: report from the verdict %+v, full check %+v", tc.Prog.Name, got, want)
+		}
+	}
+	v, err := CheckProgram(litmus.IRIW(), core.DRF1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ValidateTheoremVerdict(litmus.IRIW(), v, 0, nil); err == nil {
+		t.Error("a DRF1 verdict was accepted for Theorem 3.1")
 	}
 }
 

@@ -11,68 +11,91 @@ import (
 
 // TestCheckTelemetryCounts: an instrumented check's counters must agree
 // with the verdict it produced — executions enumerated equals
-// Verdict.Execs, every enumerated execution was analyzed, and the merge
-// sizes match the verdict's race/SC sets.
+// Verdict.Execs, one execution per distinct order was analyzed (the
+// order memo skips the repeats the quantum transformation makes), and
+// the merge sizes match the verdict's race/SC sets. RefCounter and
+// RefCounterTwo pin the memo by exact count at both streaming shapes.
 func TestCheckTelemetryCounts(t *testing.T) {
-	for _, prog := range []*litmus.Program{litmus.IRIW(), litmus.WorkQueue(), litmus.MPData()} {
-		c := telemetry.NewCheck(prog.Name, core.DRFrlx.String())
-		v, err := CheckProgramWith(prog, core.DRFrlx, CheckOptions{Telemetry: c})
-		if err != nil {
-			t.Fatalf("%s: %v", prog.Name, err)
+	for _, tc := range []struct {
+		prog *litmus.Program
+		// execs and orders, when set, pin the enumeration and the
+		// distinct-order count exactly.
+		execs, orders int64
+	}{
+		{prog: litmus.IRIW()},
+		{prog: litmus.WorkQueue()},
+		{prog: litmus.MPData()},
+		{prog: litmus.RefCounter(), execs: 43740, orders: 30},
+		{prog: litmus.RefCounterTwo(), execs: 19683, orders: 12},
+	} {
+		prog := tc.prog
+		execs, orders := orderStats(t, prog, core.DRFrlx)
+		if tc.execs != 0 && (execs != tc.execs || orders != tc.orders) {
+			t.Errorf("%s: %d executions over %d orders, want %d over %d", prog.Name, execs, orders, tc.execs, tc.orders)
 		}
-		if c.State() != telemetry.StateDone {
-			t.Errorf("%s: state = %v, want done", prog.Name, c.State())
-		}
-		s := c.Snapshot()
-		if s.Executions != int64(v.Execs) {
-			t.Errorf("%s: telemetry executions = %d, verdict execs = %d", prog.Name, s.Executions, v.Execs)
-		}
-		if s.Analyzed != s.Executions {
-			t.Errorf("%s: analyzed = %d, enumerated = %d", prog.Name, s.Analyzed, s.Executions)
-		}
-		if s.Transitions < s.Executions {
-			t.Errorf("%s: transitions = %d < executions = %d", prog.Name, s.Transitions, s.Executions)
-		}
-		var distinct int
-		for _, descs := range v.Races {
-			distinct += len(descs)
-		}
-		if s.RacePairs != int64(distinct) {
-			t.Errorf("%s: race pairs = %d, verdict distinct races = %d", prog.Name, s.RacePairs, distinct)
-		}
-		if s.SCResults != int64(len(v.SCResults)) {
-			t.Errorf("%s: sc results = %d, verdict = %d", prog.Name, s.SCResults, len(v.SCResults))
-		}
-		if s.BudgetFraction <= 0 || s.BudgetFraction > 1 {
-			t.Errorf("%s: budget fraction = %v", prog.Name, s.BudgetFraction)
+		for _, workers := range []int{1, 2} {
+			c := telemetry.NewCheck(prog.Name, core.DRFrlx.String())
+			v, err := CheckProgramWith(prog, core.DRFrlx, CheckOptions{Workers: workers, Telemetry: c})
+			if err != nil {
+				t.Fatalf("%s: %v", prog.Name, err)
+			}
+			if c.State() != telemetry.StateDone {
+				t.Errorf("%s: state = %v, want done", prog.Name, c.State())
+			}
+			s := c.Snapshot()
+			if s.Executions != int64(v.Execs) || s.Executions != execs {
+				t.Errorf("%s workers=%d: telemetry executions = %d, verdict execs = %d, want %d",
+					prog.Name, workers, s.Executions, v.Execs, execs)
+			}
+			if s.Analyzed != orders {
+				t.Errorf("%s workers=%d: analyzed = %d, want one per distinct order (%d)", prog.Name, workers, s.Analyzed, orders)
+			}
+			if s.Transitions < s.Executions {
+				t.Errorf("%s: transitions = %d < executions = %d", prog.Name, s.Transitions, s.Executions)
+			}
+			var distinct int
+			for _, descs := range v.Races {
+				distinct += len(descs)
+			}
+			if s.RacePairs != int64(distinct) {
+				t.Errorf("%s: race pairs = %d, verdict distinct races = %d", prog.Name, s.RacePairs, distinct)
+			}
+			if s.SCResults != int64(len(v.SCResults)) {
+				t.Errorf("%s: sc results = %d, verdict = %d", prog.Name, s.SCResults, len(v.SCResults))
+			}
+			if s.BudgetFraction <= 0 || s.BudgetFraction > 1 {
+				t.Errorf("%s: budget fraction = %v", prog.Name, s.BudgetFraction)
+			}
 		}
 	}
 }
 
 // TestCheckTelemetryDeterministic: the deterministic Record must be
 // byte-for-byte identical across worker counts and pipeline modes — it
-// is a function of the explored search tree, not of scheduling.
+// is a function of the explored search tree, not of scheduling, nor of
+// how many executions the order memo let skip analysis (RefCounter).
 func TestCheckTelemetryDeterministic(t *testing.T) {
-	prog := litmus.Seqlocks()
-	var want telemetry.Record
-	for i, opts := range []CheckOptions{
-		{Workers: 1},
-		{Workers: 2},
-		{Workers: 5},
-		{Materialize: true},
-	} {
-		c := telemetry.NewCheck(prog.Name, core.DRFrlx.String())
-		opts.Telemetry = c
-		if _, err := CheckProgramWith(prog, core.DRFrlx, opts); err != nil {
-			t.Fatal(err)
-		}
-		rec := c.Record()
-		if i == 0 {
-			want = rec
-			continue
-		}
-		if rec != want {
-			t.Errorf("opts %+v: record = %+v, want %+v", opts, rec, want)
+	for _, prog := range []*litmus.Program{litmus.Seqlocks(), litmus.RefCounter()} {
+		var want telemetry.Record
+		for i, opts := range []CheckOptions{
+			{Workers: 1},
+			{Workers: 2},
+			{Workers: 5},
+			{Materialize: true},
+		} {
+			c := telemetry.NewCheck(prog.Name, core.DRFrlx.String())
+			opts.Telemetry = c
+			if _, err := CheckProgramWith(prog, core.DRFrlx, opts); err != nil {
+				t.Fatal(err)
+			}
+			rec := c.Record()
+			if i == 0 {
+				want = rec
+				continue
+			}
+			if rec != want {
+				t.Errorf("%s opts %+v: record = %+v, want %+v", prog.Name, opts, rec, want)
+			}
 		}
 	}
 }

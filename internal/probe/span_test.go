@@ -42,16 +42,16 @@ func TestSpanReassemblyMissPath(t *testing.T) {
 	s := probe.NewSpanSink(func(sp probe.Span) { spans = append(spans, sp) })
 
 	s.Emit(push(10, 1, probe.SpanLoad))
-	s.Emit(ev(14, probe.CompCU, probe.CoalescerDrain, 1))  // coalescer += 4
-	s.Emit(ev(15, probe.CompL1, probe.CacheMiss, 1))       // l1 += 1
-	s.Emit(ev(15, probe.CompL1, probe.MSHRAlloc, 1))       // zero gap
-	s.Emit(ev(16, probe.CompL1, probe.NoCEnqueue, 1))      // mshr ends, l1? no: mode was MSHR -> mshr += 1
-	s.Emit(ev(22, probe.CompNoC, probe.NoCDeliver, 1))     // noc += 6
-	s.Emit(ev(23, probe.CompL2, probe.CacheMiss, 1))       // post-NoC at L2: l2 += 1
-	s.Emit(ev(48, probe.CompL2, probe.DRAMAccess, 1))      // l2 += 25
-	s.Emit(ev(210, probe.CompL2, probe.NoCEnqueue, 1))     // mem += 162
-	s.Emit(ev(218, probe.CompNoC, probe.NoCDeliver, 1))    // noc += 8
-	s.Emit(ev(220, probe.CompL1, probe.TxnComplete, 1))    // post-NoC at L1: l1 += 2
+	s.Emit(ev(14, probe.CompCU, probe.CoalescerDrain, 1)) // coalescer += 4
+	s.Emit(ev(15, probe.CompL1, probe.CacheMiss, 1))      // l1 += 1
+	s.Emit(ev(15, probe.CompL1, probe.MSHRAlloc, 1))      // zero gap
+	s.Emit(ev(16, probe.CompL1, probe.NoCEnqueue, 1))     // mshr ends, l1? no: mode was MSHR -> mshr += 1
+	s.Emit(ev(22, probe.CompNoC, probe.NoCDeliver, 1))    // noc += 6
+	s.Emit(ev(23, probe.CompL2, probe.CacheMiss, 1))      // post-NoC at L2: l2 += 1
+	s.Emit(ev(48, probe.CompL2, probe.DRAMAccess, 1))     // l2 += 25
+	s.Emit(ev(210, probe.CompL2, probe.NoCEnqueue, 1))    // mem += 162
+	s.Emit(ev(218, probe.CompNoC, probe.NoCDeliver, 1))   // noc += 8
+	s.Emit(ev(220, probe.CompL1, probe.TxnComplete, 1))   // post-NoC at L1: l1 += 2
 
 	if len(spans) != 1 {
 		t.Fatalf("completed %d spans, want 1", len(spans))

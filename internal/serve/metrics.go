@@ -29,19 +29,19 @@ func (c *counter) Load() int64       { return c.n.Load() }
 // work arrived, how much was served from where, and — the point of the
 // exercise — exactly how the rest was turned away.
 type metrics struct {
-	requests        counter // every /check request
-	ok              counter // 200 responses
-	checked         counter // checks actually enumerated
-	cacheHits       counter // verdicts served from the LRU
-	rejectedInput   counter // 400/413: malformed or oversized input
-	rateLimited     counter // 429: token bucket empty
-	shed            counter // 503: queue full
-	deadlines       counter // deadline/disconnect cancellations
-	limits          counter // execution/transition budget trips
-	witnessSearches counter // witness enumerations run under admission
-	witnessDrops    counter // witnesses omitted: gates, deadline, or failed search
-	internal        counter // unexpected checker errors
-	drains          counter // BeginDrain transitions
+	requests        counter      // every /check request
+	ok              counter      // 200 responses
+	checked         counter      // checks actually enumerated
+	cacheHits       counter      // verdicts served from the LRU
+	rejectedInput   counter      // 400/413: malformed or oversized input
+	rateLimited     counter      // 429: token bucket empty
+	shed            counter      // 503: queue full
+	deadlines       counter      // deadline/disconnect cancellations
+	limits          counter      // execution/transition budget trips
+	witnessSearches counter      // witness enumerations run under admission
+	witnessDrops    counter      // witnesses omitted: gates, deadline, or failed search
+	internal        counter      // unexpected checker errors
+	drains          counter      // BeginDrain transitions
 	queued          atomic.Int64 // gauge: requests waiting for a worker
 	running         atomic.Int64 // gauge: checks executing now
 }

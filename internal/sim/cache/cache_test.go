@@ -143,7 +143,7 @@ func TestMSHRPanics(t *testing.T) {
 	m.Allocate(1, false, 1)
 	for _, fn := range []func(){
 		func() { m.Allocate(2, false, 2) }, // full
-		func() { m.Release(3, nil) },    // absent
+		func() { m.Release(3, nil) },       // absent
 	} {
 		func() {
 			defer func() {

@@ -626,4 +626,3 @@ func RunTrace(cfg memsys.Config, tr *trace.Trace) (*Result, error) {
 	}
 	return s.Run()
 }
-
