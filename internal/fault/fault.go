@@ -358,6 +358,17 @@ func (i *Injector) WedgeActive(warp int, cycle int64) bool {
 	return c != nil && warp == c.Warp && cycle >= c.From
 }
 
+// WedgeOnset returns the first cycle at which the warp is wedged, and
+// false when no wedge clause names it. A wake hint reports the onset so
+// skipping never jumps over the first held issue slot.
+func (i *Injector) WedgeOnset(warp int) (int64, bool) {
+	c := i.spec.Wedge
+	if c == nil || warp != c.Warp {
+		return 0, false
+	}
+	return c.From, true
+}
+
 // NextWork returns the next cycle at which a pressure-window clause
 // (mshr, sb, l2stall) changes state — the injector's wake hint. Window
 // caps are consulted lazily at issue attempts, so a boundary crossing

@@ -168,4 +168,13 @@ func TestWedge(t *testing.T) {
 	if s := inj.Counts().String(); !strings.Contains(s, "1 wedge-held") {
 		t.Errorf("counts string = %q", s)
 	}
+	if from, ok := inj.WedgeOnset(2); !ok || from != 50 {
+		t.Errorf("WedgeOnset(2) = %d, %v; want 50, true", from, ok)
+	}
+	if _, ok := inj.WedgeOnset(1); ok {
+		t.Error("WedgeOnset reports an onset for an unwedged warp")
+	}
+	if got := inj.Counts().WedgeHolds; got != 1 {
+		t.Errorf("WedgeOnset changed the tally: %d wedge holds, want 1", got)
+	}
 }

@@ -100,6 +100,21 @@ type CU struct {
 	// barrierWaiters counts warps currently parked at a barrier; the
 	// system driver releases them.
 	barrierWaiters int
+	// retired counts warps marked done, so the driver's per-cycle Done and
+	// RetiredWarps polls cost O(1).
+	retired int
+
+	// The wake-hint cache. While clean is set, wake is the hint NextWork
+	// last computed and idleStalls the WarpIssueStalls an idle Tick adds;
+	// a Tick at a cycle before wake is then idle and only accrues them.
+	// Warp state changes only inside a full Tick or through a touch from
+	// outside (TxnDone emptying a group, the release-flush callback,
+	// ReleaseBarrier, AddWarp), and each of those clears clean.
+	wake       int64
+	idleStalls int64
+	clean      bool
+	// fullTicks disables the idle shortcut (see SetFullTicks).
+	fullTicks bool
 }
 
 // New builds a CU on the given node over its L1.
@@ -107,6 +122,11 @@ func New(env *memsys.Env, node int, l1 *memsys.L1, txnSeq *int64) *CU {
 	return &CU{env: env, node: node, l1: l1, txnSeq: txnSeq, st: env.Stats,
 		coalescer: make([]*memsys.Txn, 0, env.Cfg.CoalescerQueue)}
 }
+
+// SetFullTicks makes every Tick run in full, ignoring the wake-hint
+// cache. The system driver sets it when cycle skipping is off, so that
+// mode stays the reference the cache is checked against.
+func (c *CU) SetFullTicks(on bool) { c.fullTicks = on }
 
 // depth returns the number of transactions queued in the coalescer.
 func (c *CU) depth() int { return len(c.coalescer) - c.coalHead }
@@ -140,6 +160,7 @@ func (c *CU) TxnDone(t *memsys.Txn, cycle, value int64) {
 				w.outLoads--
 			}
 			c.clearFence(w)
+			c.clean = false
 		}
 	}
 	c.txnFree = append(c.txnFree, t)
@@ -153,25 +174,20 @@ func (c *CU) AddWarp(w *trace.Warp) {
 	if len(w.Ops) == 0 {
 		ws.atEnd = true
 		ws.done = true
+		c.retired++
 	}
 	c.warps = append(c.warps, ws)
+	c.clean = false
 }
 
 // NumWarps returns the warp count.
 func (c *CU) NumWarps() int { return len(c.warps) }
 
 // Done reports whether every warp has retired and all transactions
-// completed.
+// completed. A warp retires only with nothing outstanding and issues
+// nothing afterwards, so the retired count covers both.
 func (c *CU) Done() bool {
-	if c.depth() > 0 {
-		return false
-	}
-	for _, w := range c.warps {
-		if !w.done || w.outLoads > 0 || w.outAtomics > 0 {
-			return false
-		}
-	}
-	return true
+	return c.depth() == 0 && c.retired == len(c.warps)
 }
 
 // BarrierWaiters returns the number of warps parked at a barrier.
@@ -190,6 +206,7 @@ func (c *CU) ReleaseBarrier() {
 		}
 	}
 	c.barrierWaiters = 0
+	c.clean = false
 }
 
 // L1 exposes the CU's cache controller (for the barrier protocol).
@@ -271,7 +288,10 @@ func (c *CU) issueOp(cycle int64, w *warpState, op *trace.Op) bool {
 				h.Emit(probe.Event{Cycle: cycle, Comp: probe.CompCU, Node: c.node,
 					Warp: w.id, Kind: probe.ReleaseFlush})
 			}
-			c.l1.Flush(cycle, func(int64) { w.flushDone = true })
+			c.l1.Flush(cycle, func(int64) {
+				w.flushDone = true
+				c.clean = false
+			})
 		}
 		if !w.flushDone {
 			return false
@@ -408,12 +428,25 @@ func (c *CU) push(w *warpState, t *memsys.Txn) {
 // transitions still run, so an oracle that wrongly skips a productive
 // cycle shows up as diverging architectural counters in the equivalence
 // tests rather than being masked.
+//
+// A CU whose cached wake hint (see NextWork) lies beyond this cycle, with
+// no touch since it was computed, is idle: issueOne would scan the same
+// warps and reject each of them, and trackStalls would find every stall
+// reason unchanged. Such a Tick only adds the rejected warps' issue
+// stalls. Quiet cycles occur only with skipping off, where every Tick
+// runs in full.
 func (c *CU) Tick(cycle int64, quiet bool) {
+	if c.clean && !c.fullTicks && (c.wake < 0 || c.wake > cycle) {
+		c.st.WarpIssueStalls += c.idleStalls
+		return
+	}
+	c.clean = false
 	// Retirement: the op stream is exhausted, trailing compute has
 	// elapsed, and no memory operations remain in flight.
 	for _, w := range c.warps {
 		if w.atEnd && !w.done && w.busyUntil <= cycle && w.outLoads == 0 && w.outAtomics == 0 {
 			w.done = true
+			c.retired++
 		}
 	}
 	// Coalescer → L1 (one transaction per cycle port).
@@ -520,10 +553,24 @@ func (c *CU) issueOne(cycle int64, quiet bool) bool {
 // components, so a cycle where this CU would have acted but which the
 // hint did not report would silently change timing. The equivalence
 // tests (skip on vs off) pin this property.
+//
+// The hint is cached until the next touch or full Tick (see Tick), and a
+// clean CU returns it unchanged: until then every term below is either
+// state only a touch or a full Tick changes, or an absolute cycle at or
+// beyond the hint. Alongside it the scan counts the warps issueOne polls
+// (not retired, retiring, parked, fenced or computing), which is the
+// WarpIssueStalls an idle Tick adds: with the hint in the future each of
+// them is rejected, by a consistency gate or an unfinished release flush.
 func (c *CU) NextWork(cycle int64) int64 {
+	if c.clean {
+		return c.wake
+	}
+	c.clean = true
+	c.idleStalls = 0
 	if c.depth() > 0 {
 		// A queued transaction retries L1 issue every cycle.
-		return cycle + 1
+		c.wake = cycle + 1
+		return c.wake
 	}
 	wake := int64(-1)
 	min := func(t int64) {
@@ -545,28 +592,33 @@ func (c *CU) NextWork(cycle int64) int64 {
 			if w.outLoads == 0 && w.outAtomics == 0 {
 				min(w.busyUntil)
 			}
-		case w.fence, w.waitingFlush && !w.flushDone:
-			// SC fence / release flush: unblocked by completions.
+		case w.fence:
+			// SC fence: unblocked by completions.
 		case w.busyUntil > cycle:
 			// Computing: the next op issues (or begins stalling) the moment
 			// compute finishes, regardless of memory still in flight.
 			min(w.busyUntil)
 		default:
-			// Ready warp. A wedged warp must stay hot so the fault tally and
-			// the watchdog timeline match cycle-by-cycle execution exactly.
-			if f := c.env.Fault; f != nil && f.WedgeActive(w.id, cycle+1) {
-				min(cycle + 1)
-				continue
+			// issueOne polls this warp every cycle. A wedged warp must be hot
+			// from its onset on, so the fault tally and the watchdog timeline
+			// match cycle-by-cycle execution exactly.
+			c.idleStalls++
+			if f := c.env.Fault; f != nil {
+				if from, ok := f.WedgeOnset(w.id); ok {
+					min(from)
+				}
 			}
-			// If the consistency gates pass, the warp issues (or retries a
-			// full coalescer) next cycle. If they fail, every gate is a pure
+			// A release waits for the flush callback. Otherwise, if the
+			// consistency gates pass, the warp issues (or retries a full
+			// coalescer) next cycle. If they fail, every gate is a pure
 			// function of outstanding-op counts, which only completions
 			// change — so the warp is provably idle until the next event.
-			if c.canIssue(w, &w.ops.Ops[w.pc]) {
+			if !(w.waitingFlush && !w.flushDone) && c.canIssue(w, &w.ops.Ops[w.pc]) {
 				min(cycle + 1)
 			}
 		}
 	}
+	c.wake = wake
 	return wake
 }
 
@@ -620,15 +672,7 @@ func (c *CU) Diag(cycle int64) []WarpDiag {
 }
 
 // RetiredWarps counts warps that have finished their op streams.
-func (c *CU) RetiredWarps() int {
-	n := 0
-	for _, w := range c.warps {
-		if w.done {
-			n++
-		}
-	}
-	return n
-}
+func (c *CU) RetiredWarps() int { return c.retired }
 
 // stallReasonOf classifies why a warp cannot issue this cycle (probe
 // attribution; mirrors the gates in canIssue/issueOp).

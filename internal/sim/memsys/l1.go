@@ -517,6 +517,13 @@ func (l *L1) Diag() L1Diag {
 	}
 }
 
+// OverCapacity reports whether the MSHR or the store buffer holds more
+// entries than configured: the always-on occupancy invariant the driver
+// checks every processed cycle (Diag has the details).
+func (l *L1) OverCapacity() bool {
+	return l.mshr.Outstanding() > l.env.Cfg.L1MSHRs || l.sb.Len() > l.env.Cfg.StoreBuffer
+}
+
 // Quiesced reports whether the controller has no outstanding work.
 func (l *L1) Quiesced() bool {
 	return l.mshr.Outstanding() == 0 && l.sb.Drained() &&

@@ -50,8 +50,15 @@ type Message struct {
 	Payload Payload
 }
 
-// link identifies a directed link between adjacent nodes.
-type link struct{ from, to int }
+// Output directions of a router. A node's directed outgoing links are
+// the numLinkDirs slots at node*numLinkDirs in Mesh.nextFree.
+const (
+	dirXPlus = iota
+	dirXMinus
+	dirYPlus
+	dirYMinus
+	numLinkDirs
+)
 
 type inflight struct {
 	arrival int64
@@ -120,7 +127,7 @@ type Mesh struct {
 	// HopLatency is the per-hop pipeline latency in cycles.
 	HopLatency int64
 
-	nextFree map[link]int64 // earliest cycle each link is free
+	nextFree []int64 // earliest cycle each directed link is free, by (node, direction)
 	inbox    pq
 	seq      int64
 	recv     []func(Message)
@@ -146,7 +153,7 @@ func (m *Mesh) SetFault(f *fault.Injector) { m.fault = f }
 func NewMesh(width, height int, hopLatency int64, st *stats.Stats) *Mesh {
 	m := &Mesh{
 		Width: width, Height: height, HopLatency: hopLatency,
-		nextFree: map[link]int64{},
+		nextFree: make([]int64, width*height*numLinkDirs),
 		recv:     make([]func(Message), width*height),
 		stats:    st,
 	}
@@ -259,18 +266,23 @@ func (m *Mesh) route(cycle int64, msg Message, seq int64) int64 {
 		dx, dy := m.xy(msg.Dst)
 		prev := msg.Src
 		for x != dx || y != dy {
+			var dir int
 			switch {
 			case x < dx:
 				x++
+				dir = dirXPlus
 			case x > dx:
 				x--
+				dir = dirXMinus
 			case y < dy:
 				y++
+				dir = dirYPlus
 			default:
 				y--
+				dir = dirYMinus
 			}
 			next := y*m.Width + x
-			l := link{prev, next}
+			l := prev*numLinkDirs + dir
 			depart := t
 			if nf := m.nextFree[l]; nf > depart {
 				depart = nf

@@ -1,10 +1,12 @@
 package system
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
 	"rats/internal/core"
+	"rats/internal/probe"
 	"rats/internal/sim/memsys"
 	"rats/internal/trace"
 	"rats/internal/workloads"
@@ -101,31 +103,115 @@ func TestSkipEquivalenceUnderFaults(t *testing.T) {
 
 // TestSkipEquivalenceWedgedWatchdog asserts failure timelines match too:
 // a wedged run trips the liveness watchdog at the identical cycle in
-// both modes (wedged warps keep their CU's wake hint hot, so the
-// watchdog window is walked cycle-exactly even when skipping).
+// both modes, with identical counters and wedge tallies. A wedged warp
+// keeps its CU's wake hint hot from the wedge's onset on, so the hold
+// count covers every cycle the reference polls it; the mid-run onsets
+// catch a hint that jumps over the onset (a warp idle on a consistency
+// gate or a release flush is not otherwise hot).
 func TestSkipEquivalenceWedgedWatchdog(t *testing.T) {
-	run := func(skip bool) *DiagnosticError {
-		cfg := memsys.Default(memsys.ProtoGPU, core.DRF0)
-		cfg.Faults = mustSpec(t, "wedge:warp=1,from=0")
-		cfg.FaultSeed = 1
-		cfg.WatchdogWindow = 5000
+	cfgs := allConfigs()
+	for _, tc := range []struct {
+		workload, config, wedge string
+	}{
+		{"", "GD0", "wedge:warp=1,from=0"}, // barrierTrace
+		{"UTS", "GD0", "wedge:warp=0,from=500"},
+		{"UTS", "GD0", "wedge:warp=0,from=2000"},
+		{"UTS", "DD1", "wedge:warp=0,from=500"}, // onset during a release flush
+		{"PR-1", "GD1", "wedge:warp=1,from=500"},
+		{"PR-1", "GD1", "wedge:warp=0,from=5000"},
+		{"PR-1", "DD1", "wedge:warp=7,from=2000"},
+		{"RC", "DDR", "wedge:warp=1,from=2000"},
+	} {
+		name := tc.workload + "/" + tc.config + "/" + tc.wedge
+		run := func(skip bool) (*System, *DiagnosticError) {
+			cfg := cfgs[tc.config]
+			cfg.Faults = mustSpec(t, tc.wedge)
+			cfg.FaultSeed = 1
+			cfg.WatchdogWindow = 5000
+			s := New(cfg)
+			s.SetCycleSkipping(skip)
+			tr := barrierTrace()
+			if tc.workload != "" {
+				tr = workloads.ByName(tc.workload).Build(workloads.Test)
+			}
+			if err := s.Load(tr); err != nil {
+				t.Fatal(err)
+			}
+			_, err := s.Run()
+			var diag *DiagnosticError
+			if !errors.As(err, &diag) {
+				t.Fatalf("%s (skip=%v): expected *DiagnosticError, got %v", name, skip, err)
+			}
+			return s, diag
+		}
+		onSys, on := run(true)
+		offSys, off := run(false)
+		if on.Cycle != off.Cycle {
+			t.Errorf("%s: watchdog fired at cycle %d (skip) vs %d (reference)", name, on.Cycle, off.Cycle)
+		}
+		if on.RetiredOps != off.RetiredOps {
+			t.Errorf("%s: retired ops at failure: %d (skip) vs %d (reference)", name, on.RetiredOps, off.RetiredOps)
+		}
+		if onSys.stats != offSys.stats {
+			t.Errorf("%s: stats at failure diverge\non:  %+v\noff: %+v", name, onSys.stats, offSys.stats)
+		}
+		onCounts, _ := onSys.FaultCounts()
+		offCounts, _ := offSys.FaultCounts()
+		if onCounts != offCounts {
+			t.Errorf("%s: fault tallies diverge\non:  %+v\noff: %+v", name, onCounts, offCounts)
+		}
+	}
+}
+
+// TestSkipEquivalenceProbeStreams pins the event streams: a Chrome trace,
+// the per-transaction span JSONL and the stall table are byte-identical
+// with skipping on and off. Idle CUs tick through the cached shortcut
+// without re-deriving stall reasons, so this guards the claim that those
+// reasons cannot change while a CU sleeps. (Interval samples are left
+// out: they land on the first processed cycle at or after each boundary,
+// which legitimately differs between the modes.)
+func TestSkipEquivalenceProbeStreams(t *testing.T) {
+	cfgs := allConfigs()
+	type streams struct{ chrome, spans, stalls string }
+	run := func(cfg memsys.Config, tr *trace.Trace, skip bool) streams {
+		var chrome, spans bytes.Buffer
+		stalls := probe.NewStallSink()
+		h := probe.NewHub()
+		h.Attach(probe.NewChromeTrace(&chrome))
+		h.Attach(probe.NewSpanWriter(&spans))
+		h.Attach(stalls)
 		s := New(cfg)
 		s.SetCycleSkipping(skip)
-		if err := s.Load(barrierTrace()); err != nil {
+		s.AttachProbe(h)
+		if err := s.Load(tr); err != nil {
 			t.Fatal(err)
 		}
-		_, err := s.Run()
-		var diag *DiagnosticError
-		if !errors.As(err, &diag) {
-			t.Fatalf("wedged run (skip=%v): expected *DiagnosticError, got %v", skip, err)
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
 		}
-		return diag
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return streams{chrome.String(), spans.String(), stalls.Table(res.Stats.Cycles)}
 	}
-	on, off := run(true), run(false)
-	if on.Cycle != off.Cycle {
-		t.Errorf("watchdog fired at cycle %d (skip) vs %d (reference)", on.Cycle, off.Cycle)
-	}
-	if on.RetiredOps != off.RetiredOps {
-		t.Errorf("retired ops at failure: %d (skip) vs %d (reference)", on.RetiredOps, off.RetiredOps)
+	for _, wl := range []string{"H", "Flags", "RC", "SEQ"} {
+		for _, cfgName := range []string{"GD0", "DDR"} {
+			e := workloads.ByName(wl)
+			on := run(cfgs[cfgName], e.Build(workloads.Test), true)
+			off := run(cfgs[cfgName], e.Build(workloads.Test), false)
+			if on.chrome != off.chrome {
+				t.Errorf("%s/%s: Chrome trace differs with cycle skipping (%d vs %d bytes)",
+					wl, cfgName, len(on.chrome), len(off.chrome))
+			}
+			if on.spans != off.spans {
+				t.Errorf("%s/%s: span JSONL differs with cycle skipping (%d vs %d bytes)",
+					wl, cfgName, len(on.spans), len(off.spans))
+			}
+			if on.stalls != off.stalls {
+				t.Errorf("%s/%s: stall table differs with cycle skipping\non:\n%s\noff:\n%s",
+					wl, cfgName, on.stalls, off.stalls)
+			}
+		}
 	}
 }

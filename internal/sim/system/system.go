@@ -166,9 +166,15 @@ func (s *System) FaultCounts() (fault.Counts, bool) {
 func (s *System) Abort(reason string) { s.abortMsg.Store(&reason) }
 
 // SetCycleSkipping toggles the event-driven fast-forward (on by default).
-// With skipping off every cycle is processed individually; results must
-// be identical either way — the equivalence tests pin this.
-func (s *System) SetCycleSkipping(on bool) { s.skipOff = !on }
+// With skipping off every cycle is processed individually and every CU
+// ticks in full, ignoring its cached wake hint; results must be identical
+// either way — the equivalence tests pin this.
+func (s *System) SetCycleSkipping(on bool) {
+	s.skipOff = !on
+	for _, c := range s.cus {
+		c.SetFullTicks(!on)
+	}
+}
 
 // AttachProbe enables the observability layer: every component's
 // emission points route to the hub. Call before Run, after attaching the
@@ -280,17 +286,18 @@ func (s *System) Run() (*Result, error) {
 		}
 		prevCoreOps = s.stats.CoreOps
 		for _, l1 := range s.l1s {
+			if !l1.OverCapacity() {
+				continue
+			}
 			d := l1.Diag()
 			if d.MSHROutstanding > d.MSHRCapacity {
 				return nil, s.diagnose(fmt.Sprintf(
 					"invariant violated: node %d MSHR occupancy %d exceeds capacity %d",
 					d.Node, d.MSHROutstanding, d.MSHRCapacity))
 			}
-			if d.SBQueued > d.SBCapacity {
-				return nil, s.diagnose(fmt.Sprintf(
-					"invariant violated: node %d store-buffer occupancy %d exceeds capacity %d",
-					d.Node, d.SBQueued, d.SBCapacity))
-			}
+			return nil, s.diagnose(fmt.Sprintf(
+				"invariant violated: node %d store-buffer occupancy %d exceeds capacity %d",
+				d.Node, d.SBQueued, d.SBCapacity))
 		}
 		// Liveness watchdog: no counter moved for a whole window.
 		if sig := s.progressSignature(); sig != lastSig {
