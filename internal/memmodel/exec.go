@@ -10,6 +10,7 @@ package memmodel
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -163,6 +164,13 @@ type EnumOptions struct {
 	// per worker. Tripping it returns a *LimitError with Phase
 	// "transitions".
 	TransitionLimit int64
+
+	// memo, when non-nil, is the streaming checker's order memo, consulted
+	// at every leaf after the execution is counted: an execution whose
+	// order the memo has already seen is counted into the memo's shard
+	// and never filled or delivered. The memo is unsynchronized, so
+	// Enumerate rejects it unless Sequential or Naive is set.
+	memo *orderMemo
 }
 
 // checkStride is how many DFS nodes a worker explores between
@@ -261,10 +269,6 @@ type eventLayout struct {
 	locID [][]int
 	// locs maps location indices back to names, in Locs() order.
 	locs []litmus.Loc
-	// sortedLoc lists location indices in ascending name order — the
-	// order ResultKey serializes, so record can build keys without
-	// sorting per execution.
-	sortedLoc []int
 	// n is the total number of events.
 	n int
 }
@@ -276,13 +280,6 @@ func layout(p *litmus.Program) eventLayout {
 	for i, loc := range l.locs {
 		idx[loc] = i
 	}
-	l.sortedLoc = make([]int, len(l.locs))
-	for i := range l.sortedLoc {
-		l.sortedLoc[i] = i
-	}
-	sort.Slice(l.sortedLoc, func(a, b int) bool {
-		return l.locs[l.sortedLoc[a]] < l.locs[l.sortedLoc[b]]
-	})
 	l.id = make([][]int, len(p.Threads))
 	l.locID = make([][]int, len(p.Threads))
 	for t, th := range p.Threads {
@@ -386,10 +383,11 @@ type enumerator struct {
 	// equivalent sibling branch and is therefore redundant here.
 	sleep uint64
 
-	// keyBuf is the reusable scratch for building result keys in record;
-	// keyIntern dedups the key strings (distinct final states are few, so
-	// interning makes key construction allocation-free in steady state).
-	// Both are per-worker: clone leaves them nil.
+	// keyBuf is the reusable buffer holding the raw final-memory words;
+	// keyIntern maps those words to their rendered result key (distinct
+	// final states are few, so each is rendered once and key lookup is
+	// allocation-free in steady state). Both are per-worker: clone leaves
+	// them nil.
 	keyBuf    []byte
 	keyIntern map[string]string
 
@@ -527,6 +525,9 @@ func (e *enumerator) clone() *enumerator {
 func Enumerate(p *litmus.Program, opts EnumOptions) ([]*Execution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
+	}
+	if opts.memo != nil && !opts.Sequential && !opts.Naive {
+		return nil, errors.New("memmodel: the order memo needs a single-goroutine enumeration (Sequential or Naive)")
 	}
 	if opts.Limit == 0 {
 		opts.Limit = DefaultLimit
@@ -898,7 +899,9 @@ func (e *enumerator) execOne(t int, inf *opInfo, qload, qstore int64) {
 // record snapshots the completed execution and either streams it to the
 // Visit callback or appends it to the materialized list. The counter is
 // shared across the parallel workers, so Limit bounds the total across
-// all branches.
+// all branches. An execution whose order the memo has already seen is
+// counted there instead: its races are those of the order's first
+// execution, so only its SC result is needed.
 func (e *enumerator) record() {
 	if e.stop.Load() {
 		return
@@ -910,6 +913,10 @@ func (e *enumerator) record() {
 		return
 	}
 	e.tel.IncEnumerated()
+	key := e.finalKey()
+	if e.opts.memo.repeat(e.order, key) {
+		return
+	}
 	var ex *Execution
 	if e.opts.Recycle != nil {
 		ex = e.opts.Recycle()
@@ -936,23 +943,6 @@ func (e *enumerator) record() {
 	copy(ex.Present, e.present)
 	for i, l := range e.lay.locs {
 		ex.Final[l] = e.mem[i]
-	}
-	// Serialize the result key directly from the presorted location order
-	// (identical to resultKey(ex.Final), minus its per-call sort).
-	e.keyBuf = e.keyBuf[:0]
-	for _, li := range e.lay.sortedLoc {
-		e.keyBuf = append(e.keyBuf, e.lay.locs[li]...)
-		e.keyBuf = append(e.keyBuf, '=')
-		e.keyBuf = strconv.AppendInt(e.keyBuf, e.mem[li], 10)
-		e.keyBuf = append(e.keyBuf, ';')
-	}
-	if e.keyIntern == nil {
-		e.keyIntern = make(map[string]string, 8)
-	}
-	key, ok := e.keyIntern[string(e.keyBuf)]
-	if !ok {
-		key = string(e.keyBuf)
-		e.keyIntern[key] = key
 	}
 	ex.key = key
 	// The static Event fields come from the prototype; only values and
@@ -985,6 +975,34 @@ func (e *enumerator) record() {
 		return
 	}
 	e.execs = append(e.execs, ex)
+}
+
+// finalKey returns the ResultKey of the current final memory state,
+// interned by the raw memory words, so each distinct final state is
+// rendered once per worker rather than once per execution.
+func (e *enumerator) finalKey() string {
+	e.keyBuf = e.keyBuf[:0]
+	for _, v := range e.mem {
+		e.keyBuf = binary.LittleEndian.AppendUint64(e.keyBuf, uint64(v))
+	}
+	if key, ok := e.keyIntern[string(e.keyBuf)]; ok {
+		return key
+	}
+	// Render after the raw words; lay.locs is in Locs() order, which is
+	// ascending by name, the order ResultKey serializes.
+	raw := len(e.keyBuf)
+	for i, l := range e.lay.locs {
+		e.keyBuf = append(e.keyBuf, l...)
+		e.keyBuf = append(e.keyBuf, '=')
+		e.keyBuf = strconv.AppendInt(e.keyBuf, e.mem[i], 10)
+		e.keyBuf = append(e.keyBuf, ';')
+	}
+	key := string(e.keyBuf[raw:])
+	if e.keyIntern == nil {
+		e.keyIntern = make(map[string]string, 8)
+	}
+	e.keyIntern[string(e.keyBuf[:raw])] = key
+	return key
 }
 
 // Results returns the set of distinct final memory states over a slice of

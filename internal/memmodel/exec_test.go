@@ -2,6 +2,8 @@ package memmodel
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -252,5 +254,63 @@ func TestResultsHelper(t *testing.T) {
 		if resultKey(final) != k {
 			t.Error("Results key mismatch")
 		}
+	}
+}
+
+// resultKeyProgram stretches the enumerator's interned result keys past
+// the catalog: negative and multi-digit values, and locations first used
+// in non-lexical order (Y, X, AB). Under DRFrlx the quantum accesses take
+// values from a domain with a negative member.
+func resultKeyProgram() *litmus.Program {
+	p := litmus.New("resultKeys")
+	p.SetInit("Y", -12)
+	p.QuantumDomain = []int64{-3, 0, 250}
+	t0 := p.Thread("t0")
+	t0.RMWDiscard(core.OpAdd, "Y", -100, core.Paired)
+	t0.Store("X", 1000, core.Quantum)
+	t1 := p.Thread("t1")
+	r := t1.Load("X", core.Quantum)
+	t1.StoreExpr("AB", litmus.RegExpr(r), core.Paired)
+	t1.RMWDiscard(core.OpSub, "Y", 7, core.Paired)
+	return p
+}
+
+// TestResultKeyMatchesFinal is the oracle for the enumerator's result-key
+// interning: every delivered execution's ResultKey equals the key
+// rendered independently from its Final map, for every catalog program
+// and resultKeyProgram under every model, in the sequential enumeration
+// and the parallel one (whose workers intern separately). It also pins
+// the rendering itself on resultKeyProgram: names ascending, signed
+// decimal values.
+func TestResultKeyMatchesFinal(t *testing.T) {
+	progs := []*litmus.Program{resultKeyProgram()}
+	for _, tc := range litmus.Suite() {
+		progs = append(progs, tc.Prog)
+	}
+	for _, p := range progs {
+		for _, m := range []core.Model{core.DRF0, core.DRF1, core.DRFrlx} {
+			for _, sequential := range []bool{true, false} {
+				_, err := Enumerate(p.Under(m), EnumOptions{
+					Quantum: true, Sequential: sequential,
+					Visit: func(ex *Execution) error {
+						if got, want := ex.ResultKey(), FinalResultKey(ex.Final); got != want {
+							return fmt.Errorf("result key %q, want %q", got, want)
+						}
+						return nil
+					},
+				})
+				if err != nil {
+					t.Fatalf("%s/%s sequential=%v: %v", p.Name, m, sequential, err)
+				}
+			}
+		}
+	}
+	v, err := CheckProgram(resultKeyProgram(), core.DRF0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{"AB=0;X=1000;Y=-119;": true, "AB=1000;X=1000;Y=-119;": true}
+	if !reflect.DeepEqual(v.SCResults, want) {
+		t.Errorf("resultKeys/DRF0 SC results %v, want %v", v.SCResults, want)
 	}
 }

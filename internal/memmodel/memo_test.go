@@ -112,8 +112,8 @@ func randomQuantumProgram(seed int64) *litmus.Program {
 // TestStreamingMatchesMaterializeRandom extends the streaming pipeline's
 // determinism contract past the catalog: on seeded random programs, the
 // memo-free Materialize reference and streaming at one and two workers
-// agree under every model, and the checks analyze exactly one execution
-// per distinct order.
+// agree under every model, and the checks build and analyze exactly one
+// execution per distinct order.
 func TestStreamingMatchesMaterializeRandom(t *testing.T) {
 	seeds := 300
 	if testing.Short() {
@@ -141,9 +141,15 @@ func TestStreamingMatchesMaterializeRandom(t *testing.T) {
 					t.Errorf("seed %d/%s workers=%d: verdict diverges\n got: %+v\nwant: %+v",
 						seed, m, workers, got, want)
 				}
-				if s := c.Snapshot(); s.Executions != execs || s.Analyzed != orders {
+				s := c.Snapshot()
+				if s.Executions != execs || s.Analyzed != orders {
 					t.Errorf("seed %d/%s workers=%d: %d executions, %d analyzed; want %d, %d",
 						seed, m, workers, s.Executions, s.Analyzed, execs, orders)
+				}
+				// Memo hits are counted at the leaf, never materialized.
+				if s.Recycled+s.Allocated != s.Analyzed {
+					t.Errorf("seed %d/%s workers=%d: %d recycled + %d allocated executions, want one per analysis (%d)",
+						seed, m, workers, s.Recycled, s.Allocated, s.Analyzed)
 				}
 			}
 		}
@@ -156,19 +162,17 @@ func TestStreamingMatchesMaterializeRandom(t *testing.T) {
 
 // TestOrderMemoCap: the memo stops growing at orderMemoCap entries, so a
 // check's memory stays bounded; orders beyond the cap are analyzed every
-// time they recur, and memoized ones are still skipped.
+// time they recur, and memoized ones are still counted without analysis.
+// It drives the enumerator's leaf hook directly: a miss is an execution
+// the enumerator would deliver for analysis.
 func TestOrderMemoCap(t *testing.T) {
 	m := &orderMemo{seen: map[string]struct{}{}, skipped: newPartialVerdict()}
-	analyzed, released := 0, 0
-	visit := m.wrap(func(*Execution) { released++ }, func(*Execution) error {
-		analyzed++
-		return nil
-	})
+	analyzed := 0
 	n := orderMemoCap + 10
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < n; i++ {
-			if err := visit(&Execution{Order: []int{i / 256, i % 256}, key: "X=0;"}); err != nil {
-				t.Fatal(err)
+			if !m.repeat([]int{i / 256, i % 256}, "X=0;") {
+				analyzed++
 			}
 		}
 	}
@@ -178,11 +182,36 @@ func TestOrderMemoCap(t *testing.T) {
 	if want := n + 10; analyzed != want {
 		t.Errorf("analyzed %d executions, want %d (every order once, the 10 past the cap twice)", analyzed, want)
 	}
-	if released != orderMemoCap || m.skipped.execs != orderMemoCap {
-		t.Errorf("skipped %d and released %d executions, want %d each", m.skipped.execs, released, orderMemoCap)
+	if m.skipped.execs != orderMemoCap {
+		t.Errorf("skipped %d executions, want %d", m.skipped.execs, orderMemoCap)
 	}
 	if !m.skipped.scResults["X=0;"] {
 		t.Errorf("skipped executions lost their SC result: %v", m.skipped.scResults)
 	}
+}
 
+// TestEnumerateRejectsParallelMemo: the order memo is unsynchronized, so
+// Enumerate refuses it on the parallel first-step fan-out before any
+// execution reaches it.
+func TestEnumerateRejectsParallelMemo(t *testing.T) {
+	p := litmus.RefCounter().Under(core.DRFrlx)
+	m := newOrderMemo(p)
+	if m == nil {
+		t.Fatal("RefCounter under DRFrlx has no quantum ops")
+	}
+	visits := 0
+	execs, err := Enumerate(p, EnumOptions{
+		Quantum: true, memo: m,
+		Visit: func(*Execution) error {
+			visits++
+			return nil
+		},
+	})
+	if err == nil {
+		t.Fatal("Enumerate accepted the order memo without Sequential or Naive")
+	}
+	if execs != nil || visits != 0 || len(m.seen) != 0 || m.skipped.execs != 0 {
+		t.Errorf("rejected enumeration still ran: %d executions, %d visits, memo %d orders / %d skipped",
+			len(execs), visits, len(m.seen), m.skipped.execs)
+	}
 }

@@ -233,7 +233,8 @@ type Verdict struct {
 	// executions, described as "thread.opindex" strings.
 	Races map[RaceKind][]string
 	// Execs is the number of SC executions checked (an execution whose
-	// order was already analyzed counts without being analyzed again).
+	// order was already analyzed counts without being built or analyzed
+	// again).
 	// The enumerator applies partial-order reduction, so this counts one
 	// representative per trace of commuting accesses, not every
 	// interleaving.
@@ -390,8 +391,11 @@ func CheckProgramWith(p0 *litmus.Program, m core.Model, opts CheckOptions) (*Ver
 	if maxWorkers <= 0 {
 		maxWorkers = runtime.GOMAXPROCS(0)
 	}
+	// Both streaming shapes enumerate on one goroutine, so the enumerator
+	// can consult the order memo at every leaf: a repeat of an analyzed
+	// order is counted into the memo's shard without being built.
 	eo.Sequential = true
-	memo := newOrderMemo(p)
+	eo.memo = newOrderMemo(p)
 	if maxWorkers == 1 {
 		// Single-worker streaming runs the analysis inline in the Visit
 		// callback: no channel, no goroutine hand-off, and one Execution
@@ -406,13 +410,12 @@ func CheckProgramWith(p0 *litmus.Program, m core.Model, opts CheckOptions) (*Ver
 			spare = nil
 			return ex
 		}
-		release := func(ex *Execution) { spare = ex }
-		eo.Visit = memo.wrap(release, func(ex *Execution) error {
+		eo.Visit = func(ex *Execution) error {
 			pv.add(an.Analyze(ex), kinds)
 			w.IncAnalyzed()
-			release(ex)
+			spare = ex
 			return nil
-		})
+		}
 		// Enumeration and analysis interleave on one goroutine, so a
 		// single span covers both.
 		en := sp.Child("enumerate")
@@ -425,7 +428,7 @@ func CheckProgramWith(p0 *litmus.Program, m core.Model, opts CheckOptions) (*Ver
 			return nil, err
 		}
 		mg := sp.Child("merge")
-		v := finishVerdict(p0.Name, m, memo.shards([]*partialVerdict{pv}), tel)
+		v := finishVerdict(p0.Name, m, eo.memo.shards([]*partialVerdict{pv}), tel)
 		mg.End()
 		tel.Finish(telemetry.StateDone)
 		return v, nil
@@ -503,15 +506,13 @@ func CheckProgramWith(p0 *litmus.Program, m core.Model, opts CheckOptions) (*Ver
 		ex, _ := exPool.Get().(*Execution)
 		return ex
 	}
-	// Executions the order memo skips never reach the channel: the memo
-	// counts them into a shard of its own on the producer side.
-	eo.Visit = memo.wrap(func(ex *Execution) { exPool.Put(ex) }, func(ex *Execution) error {
+	eo.Visit = func(ex *Execution) error {
 		if len(ch) > len(parts) && len(parts) < maxWorkers {
 			spawn()
 		}
 		ch <- ex
 		return nil
-	})
+	}
 	en := sp.Child("enumerate")
 	tel.SetSpan(en)
 	_, err := Enumerate(p, eo)
@@ -524,7 +525,7 @@ func CheckProgramWith(p0 *litmus.Program, m core.Model, opts CheckOptions) (*Ver
 		return nil, err
 	}
 	mg := sp.Child("merge")
-	v := finishVerdict(p0.Name, m, memo.shards(parts), tel)
+	v := finishVerdict(p0.Name, m, eo.memo.shards(parts), tel)
 	mg.End()
 	tel.Finish(telemetry.StateDone)
 	return v, nil
@@ -540,7 +541,9 @@ const orderMemoCap = 1 << 14
 // the program's static ops), never the values moved, so executions that
 // share an order share their races. The quantum transformation repeats
 // every order once per choice of domain values; a repeat adds only its
-// execution count and SC result to the verdict.
+// execution count and SC result to the verdict, so the enumerator
+// consults the memo at its leaf (EnumOptions.memo) and never builds the
+// repeat.
 type orderMemo struct {
 	seen map[string]struct{}
 	key  []byte
@@ -563,29 +566,26 @@ func newOrderMemo(p *litmus.Program) *orderMemo {
 	return nil
 }
 
-// wrap puts the memo in front of a pipeline's Visit on the producer side:
-// an execution whose order was already analyzed in this check is counted
-// into the memo's shard and handed to release instead of reaching
-// analyze. A nil memo returns analyze unchanged.
-func (m *orderMemo) wrap(release func(*Execution), analyze func(*Execution) error) func(*Execution) error {
+// repeat reports whether an execution with this total order was already
+// analyzed in this check; if so it counts the execution and its SC result
+// (key) into the memo's shard. A new order is remembered while the memo
+// is under its cap. A nil memo reports no repeats.
+func (m *orderMemo) repeat(order []int, key string) bool {
 	if m == nil {
-		return analyze
+		return false
 	}
-	return func(ex *Execution) error {
-		m.key = m.key[:0]
-		for _, id := range ex.Order {
-			m.key = binary.AppendUvarint(m.key, uint64(id))
-		}
-		if _, ok := m.seen[string(m.key)]; ok {
-			m.skipped.count(ex)
-			release(ex)
-			return nil
-		}
-		if len(m.seen) < orderMemoCap {
-			m.seen[string(m.key)] = struct{}{}
-		}
-		return analyze(ex)
+	m.key = m.key[:0]
+	for _, id := range order {
+		m.key = binary.AppendUvarint(m.key, uint64(id))
 	}
+	if _, ok := m.seen[string(m.key)]; ok {
+		m.skipped.count(key)
+		return true
+	}
+	if len(m.seen) < orderMemoCap {
+		m.seen[string(m.key)] = struct{}{}
+	}
+	return false
 }
 
 // shards adds the memo's shard to the analysis workers' verdict shards
@@ -626,15 +626,15 @@ func newPartialVerdict() *partialVerdict {
 }
 
 // count adds the part of an execution's contribution that needs no
-// analysis: the execution itself and its SC result.
-func (pv *partialVerdict) count(ex *Execution) {
+// analysis: the execution itself and its SC result key.
+func (pv *partialVerdict) count(key string) {
 	pv.execs++
-	pv.scResults[ex.ResultKey()] = true
+	pv.scResults[key] = true
 }
 
 func (pv *partialVerdict) add(a *Analysis, kinds []RaceKind) {
 	ex := a.Exec
-	pv.count(ex)
+	pv.count(ex.ResultKey())
 	for _, k := range kinds {
 		for _, pr := range a.Races[k] {
 			desc, ok := pv.descCache[pr]

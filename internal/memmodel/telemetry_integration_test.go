@@ -11,10 +11,11 @@ import (
 
 // TestCheckTelemetryCounts: an instrumented check's counters must agree
 // with the verdict it produced — executions enumerated equals
-// Verdict.Execs, one execution per distinct order was analyzed (the
-// order memo skips the repeats the quantum transformation makes), and
-// the merge sizes match the verdict's race/SC sets. RefCounter and
-// RefCounterTwo pin the memo by exact count at both streaming shapes.
+// Verdict.Execs, one execution per distinct order was built and
+// analyzed (the order memo counts the repeats the quantum transformation
+// makes at the enumerator's leaf), and the merge sizes match the
+// verdict's race/SC sets. RefCounter and RefCounterTwo pin the memo by
+// exact count at both streaming shapes.
 func TestCheckTelemetryCounts(t *testing.T) {
 	for _, tc := range []struct {
 		prog *litmus.Program
@@ -49,6 +50,10 @@ func TestCheckTelemetryCounts(t *testing.T) {
 			}
 			if s.Analyzed != orders {
 				t.Errorf("%s workers=%d: analyzed = %d, want one per distinct order (%d)", prog.Name, workers, s.Analyzed, orders)
+			}
+			if s.Recycled+s.Allocated != s.Analyzed {
+				t.Errorf("%s workers=%d: %d recycled + %d allocated executions, want one per analysis (%d): memo hits must not be built",
+					prog.Name, workers, s.Recycled, s.Allocated, s.Analyzed)
 			}
 			if s.Transitions < s.Executions {
 				t.Errorf("%s: transitions = %d < executions = %d", prog.Name, s.Transitions, s.Executions)
