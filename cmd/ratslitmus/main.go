@@ -7,7 +7,6 @@
 //
 //	ratslitmus                   # full suite
 //	ratslitmus -j 8              # suite with 8 parallel checkers
-//	ratslitmus -mode materialize # two-phase reference pipeline
 //	ratslitmus -mode solve       # constraint-solving backend; with -diff
 //	                             # every verdict is cross-checked against
 //	                             # streaming enumeration (exit 1 on any
@@ -59,7 +58,7 @@ func main() {
 		witness  = flag.Bool("witness", false, "with -file: print a witness execution for the first illegal race")
 		infer    = flag.Bool("infer", false, "with -file: infer the cheapest legal atomic labelling")
 		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "suite-level parallelism (test cases checked concurrently)")
-		mode     = flag.String("mode", "streaming", "analysis pipeline: streaming|materialize|solve")
+		mode     = flag.String("mode", "streaming", "checking backend: streaming (enumerate every SC execution) or solve (constraint solver)")
 		httpAddr = flag.String("http", "", "serve live observability (/checks, /metrics, /progress, /buildinfo) on this address during the suite run")
 		linger   = flag.Duration("http-linger", 0, "with -http: keep serving this long after the suite finishes")
 		telOut   = flag.String("telemetry-out", "", "write deterministic per-check telemetry JSONL to this file")
@@ -177,12 +176,10 @@ func pipelineOptions(mode string) (memmodel.CheckOptions, error) {
 	switch mode {
 	case "streaming":
 		return memmodel.CheckOptions{}, nil
-	case "materialize":
-		return memmodel.CheckOptions{Materialize: true}, nil
 	case "solve":
 		return memmodel.CheckOptions{Mode: memmodel.ModeSolve}, nil
 	}
-	return memmodel.CheckOptions{}, fmt.Errorf("unknown -mode %q (want streaming, materialize, or solve)", mode)
+	return memmodel.CheckOptions{}, fmt.Errorf("unknown -mode %q (want streaming or solve)", mode)
 }
 
 // renderCase formats one sweep result as the per-case report, returning

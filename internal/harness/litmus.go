@@ -23,9 +23,9 @@ type LitmusSweepOptions struct {
 	// TheoremOnly skips the per-model verdicts and runs only the Theorem
 	// 3.1 validation.
 	TheoremOnly bool
-	// Check configures each per-model semantics check (pipeline mode,
-	// execution limit, analysis workers). Its Telemetry field is managed
-	// by the sweep.
+	// Check configures each per-model semantics check (backend mode,
+	// execution and transition limits). Its Telemetry field is managed by
+	// the sweep.
 	Check memmodel.CheckOptions
 	// Run supplies the sweep-level integration: Progress receives
 	// per-case lifecycle updates, Checks registers one telemetry check

@@ -85,7 +85,6 @@ func TestLitmusSweepTelemetryDeterministic(t *testing.T) {
 		prog := obs.NewProgress()
 		_, err := LitmusSweep(suite, LitmusSweepOptions{
 			Workers: workers,
-			Check:   memmodel.CheckOptions{Workers: 2},
 			Run:     &RunOptions{Checks: reg, Progress: prog, TelemetryOut: &buf},
 		})
 		if err != nil {

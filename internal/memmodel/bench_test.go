@@ -87,22 +87,28 @@ func BenchmarkAnalyze(b *testing.B) {
 }
 
 // BenchmarkCheckProgram measures whole-program verdicts: "streaming" is
-// the default pipeline (POR enumeration feeding parallel Analyze
-// workers), "materialize" collects every execution first and analyzes
-// serially. Both already use the bitset kernels; EXPERIMENTS.md records
-// the pre-bitset serial baseline these are gated against.
+// CheckProgram (the POR walk with each execution analyzed inline and the
+// order memo), "materialize" is the two-phase reference that collects
+// every execution through the first-step fan-out and then analyzes
+// serially. Both already use the bitset kernels; EXPERIMENTS.md
+// records the pre-bitset serial baseline these are gated against.
 func BenchmarkCheckProgram(b *testing.B) {
 	for _, name := range []string{"WorkQueue", "Seqlocks", "Flags_2", "IRIW"} {
 		tc := litmus.ByName(name)
 		if tc == nil {
 			b.Fatalf("no suite program named %q", name)
 		}
-		for _, mode := range []string{"streaming", "materialize"} {
-			b.Run(name+"/"+mode, func(b *testing.B) {
+		for _, mode := range []struct {
+			name  string
+			check func(*litmus.Program, core.Model) (*Verdict, error)
+		}{
+			{"streaming", CheckProgram},
+			{"materialize", func(p *litmus.Program, m core.Model) (*Verdict, error) { return checkTwoPhase(p, m, nil) }},
+		} {
+			b.Run(name+"/"+mode.name, func(b *testing.B) {
 				b.ReportAllocs()
-				opts := CheckOptions{Materialize: mode == "materialize"}
 				for i := 0; i < b.N; i++ {
-					if _, err := CheckProgramWith(tc.Prog, core.DRFrlx, opts); err != nil {
+					if _, err := mode.check(tc.Prog, core.DRFrlx); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -123,23 +123,19 @@ type EnumOptions struct {
 	// Visit, when non-nil, streams each execution to the callback instead
 	// of accumulating a slice: Enumerate returns (nil, err) and holds no
 	// reference to delivered executions, so memory stays bounded by the
-	// consumer. The callback owns its *Execution. Unless Sequential (or
-	// Naive) is set, Visit is called concurrently from the first-step
-	// worker pool in an unspecified order. Returning ErrStop stops
-	// enumeration cleanly (Enumerate returns nil error); any other error
-	// aborts enumeration and is returned.
+	// consumer. The callback owns its *Execution. A streaming enumeration
+	// runs on the calling goroutine, without the first-step fan-out, so
+	// Visit calls arrive one at a time in the deterministic branch order.
+	// Returning ErrStop stops enumeration cleanly (Enumerate returns nil
+	// error); any other error aborts enumeration and is returned.
 	Visit func(*Execution) error
-	// Sequential disables the parallel first-step fan-out while keeping
-	// partial-order reduction, so Visit callbacks arrive from one
-	// goroutine in the deterministic sequential branch order.
-	Sequential bool
 	// Recycle, when non-nil, supplies previously released executions for
 	// the enumerator to refill instead of allocating fresh ones — the
 	// other half of the Visit streaming contract: once a consumer is done
-	// with a delivered *Execution it may hand it back (e.g. via a
-	// sync.Pool drained by this hook), making the steady-state pipeline
-	// allocation-free. Returning nil falls back to allocation; recycled
-	// executions must originate from the same Enumerate call.
+	// with a delivered *Execution it may hand it back through this hook,
+	// making the steady-state pipeline allocation-free. Returning nil
+	// falls back to allocation; recycled executions must originate from
+	// the same Enumerate call.
 	Recycle func() *Execution
 	// Telemetry, when non-nil, receives live engine counters: executions
 	// recorded, DFS transitions taken, sleep-set skips, and recycle/
@@ -165,11 +161,11 @@ type EnumOptions struct {
 	// "transitions".
 	TransitionLimit int64
 
-	// memo, when non-nil, is the streaming checker's order memo, consulted
-	// at every leaf after the execution is counted: an execution whose
-	// order the memo has already seen is counted into the memo's shard
-	// and never filled or delivered. The memo is unsynchronized, so
-	// Enumerate rejects it unless Sequential or Naive is set.
+	// memo, when non-nil, is the checker's order memo, consulted at every
+	// leaf after the execution is counted: an execution whose order the
+	// memo has already seen is counted into the memo's shard and never
+	// filled or delivered. The memo is unsynchronized, so Enumerate
+	// rejects it on the first-step fan-out (neither Visit nor Naive set).
 	memo *orderMemo
 }
 
@@ -513,21 +509,24 @@ func (e *enumerator) clone() *enumerator {
 // Enumerate produces the SC executions of the program (or of its
 // quantum-equivalent program when opts.Quantum is set).
 //
-// By default it applies sleep-set partial-order reduction and fans the
-// first-step branches out over a worker pool: the result contains at
-// least one representative of every Mazurkiewicz trace (executions that
-// differ only in the order of non-conflicting accesses), so the set of
-// final states, reads-from choices, per-event values, and every relation
-// the analyses derive (conflict order, so1, hb1, races — all functions
-// of the total order restricted to conflicting pairs) are identical to
-// the Naive enumeration; only the multiplicity of order-equivalent
-// executions shrinks. Set opts.Naive to enumerate every interleaving.
+// By default it applies sleep-set partial-order reduction: the result
+// contains at least one representative of every Mazurkiewicz trace
+// (executions that differ only in the order of non-conflicting
+// accesses), so the set of final states, reads-from choices, per-event
+// values, and every relation the analyses derive (conflict order, so1,
+// hb1, races — all functions of the total order restricted to
+// conflicting pairs) are identical to the Naive enumeration; only the
+// multiplicity of order-equivalent executions shrinks. Set opts.Naive to
+// enumerate every interleaving. A slice enumeration (no opts.Visit) fans
+// the first-step branches out over a worker pool; a streaming one walks
+// them in order on the calling goroutine.
 func Enumerate(p *litmus.Program, opts EnumOptions) ([]*Execution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.memo != nil && !opts.Sequential && !opts.Naive {
-		return nil, errors.New("memmodel: the order memo needs a single-goroutine enumeration (Sequential or Naive)")
+	sequential := opts.Naive || opts.Visit != nil || len(p.Threads) < 2
+	if opts.memo != nil && !sequential {
+		return nil, errors.New("memmodel: the order memo needs a single-goroutine enumeration (Visit or Naive)")
 	}
 	if opts.Limit == 0 {
 		opts.Limit = DefaultLimit
@@ -539,7 +538,7 @@ func Enumerate(p *litmus.Program, opts EnumOptions) ([]*Execution, error) {
 	}
 	e := newEnumerator(p, opts)
 	e.start = time.Now()
-	if opts.Naive || opts.Sequential || len(p.Threads) < 2 {
+	if sequential {
 		e.step()
 		// A request trace linked via Telemetry.SetSpan gets one summary
 		// event with the final counters (read before flushTel zeroes the

@@ -278,29 +278,33 @@ func resultKeyProgram() *litmus.Program {
 // TestResultKeyMatchesFinal is the oracle for the enumerator's result-key
 // interning: every delivered execution's ResultKey equals the key
 // rendered independently from its Final map, for every catalog program
-// and resultKeyProgram under every model, in the sequential enumeration
-// and the parallel one (whose workers intern separately). It also pins
-// the rendering itself on resultKeyProgram: names ascending, signed
-// decimal values.
+// and resultKeyProgram under every model, in the streaming walk and the
+// slice enumeration's first-step fan-out (whose workers intern
+// separately). It also pins the rendering itself on resultKeyProgram:
+// names ascending, signed decimal values.
 func TestResultKeyMatchesFinal(t *testing.T) {
 	progs := []*litmus.Program{resultKeyProgram()}
 	for _, tc := range litmus.Suite() {
 		progs = append(progs, tc.Prog)
 	}
+	check := func(ex *Execution) error {
+		if got, want := ex.ResultKey(), FinalResultKey(ex.Final); got != want {
+			return fmt.Errorf("result key %q, want %q", got, want)
+		}
+		return nil
+	}
 	for _, p := range progs {
 		for _, m := range []core.Model{core.DRF0, core.DRF1, core.DRFrlx} {
-			for _, sequential := range []bool{true, false} {
-				_, err := Enumerate(p.Under(m), EnumOptions{
-					Quantum: true, Sequential: sequential,
-					Visit: func(ex *Execution) error {
-						if got, want := ex.ResultKey(), FinalResultKey(ex.Final); got != want {
-							return fmt.Errorf("result key %q, want %q", got, want)
-						}
-						return nil
-					},
-				})
-				if err != nil {
-					t.Fatalf("%s/%s sequential=%v: %v", p.Name, m, sequential, err)
+			if _, err := Enumerate(p.Under(m), EnumOptions{Quantum: true, Visit: check}); err != nil {
+				t.Fatalf("%s/%s walk: %v", p.Name, m, err)
+			}
+			execs, err := Enumerate(p.Under(m), EnumOptions{Quantum: true})
+			if err != nil {
+				t.Fatalf("%s/%s fan-out: %v", p.Name, m, err)
+			}
+			for _, ex := range execs {
+				if err := check(ex); err != nil {
+					t.Fatalf("%s/%s fan-out: %v", p.Name, m, err)
 				}
 			}
 		}

@@ -19,7 +19,7 @@ func orderStats(t *testing.T, p *litmus.Program, m core.Model) (execs, orders in
 	t.Helper()
 	seen := map[string]bool{}
 	_, err := Enumerate(p.Under(m), EnumOptions{
-		Quantum: true, Sequential: true,
+		Quantum: true,
 		Visit: func(ex *Execution) error {
 			execs++
 			seen[fmt.Sprint(ex.Order)] = true
@@ -42,7 +42,7 @@ func TestOrderDeterminesRaces(t *testing.T) {
 		first := map[string][NumRaceKinds][][2]int{}
 		repeats := 0
 		_, err := Enumerate(tc.Prog.Under(core.DRFrlx), EnumOptions{
-			Quantum: true, Sequential: true,
+			Quantum: true,
 			Visit: func(ex *Execution) error {
 				key := fmt.Sprint(ex.Order)
 				var races [NumRaceKinds][][2]int
@@ -111,9 +111,9 @@ func randomQuantumProgram(seed int64) *litmus.Program {
 
 // TestStreamingMatchesMaterializeRandom extends the streaming pipeline's
 // determinism contract past the catalog: on seeded random programs, the
-// memo-free Materialize reference and streaming at one and two workers
-// agree under every model, and the checks build and analyze exactly one
-// execution per distinct order.
+// memo-free two-phase reference and the checker agree under every model,
+// and the checks build and analyze exactly one execution per distinct
+// order.
 func TestStreamingMatchesMaterializeRandom(t *testing.T) {
 	seeds := 300
 	if testing.Short() {
@@ -123,34 +123,31 @@ func TestStreamingMatchesMaterializeRandom(t *testing.T) {
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		p := randomQuantumProgram(seed)
 		for _, m := range []core.Model{core.DRF0, core.DRF1, core.DRFrlx} {
-			want, err := CheckProgramWith(p, m, CheckOptions{Materialize: true})
+			want, err := checkTwoPhase(p, m, nil)
 			if err != nil {
-				t.Fatalf("seed %d/%s materialize: %v", seed, m, err)
+				t.Fatalf("seed %d/%s two-phase: %v", seed, m, err)
 			}
 			execs, orders := orderStats(t, p, m)
 			if execs > orders {
 				memoized++
 			}
-			for _, workers := range []int{1, 2} {
-				c := telemetry.NewCheck(p.Name, m.String())
-				got, err := CheckProgramWith(p, m, CheckOptions{Workers: workers, Telemetry: c})
-				if err != nil {
-					t.Fatalf("seed %d/%s workers=%d: %v", seed, m, workers, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("seed %d/%s workers=%d: verdict diverges\n got: %+v\nwant: %+v",
-						seed, m, workers, got, want)
-				}
-				s := c.Snapshot()
-				if s.Executions != execs || s.Analyzed != orders {
-					t.Errorf("seed %d/%s workers=%d: %d executions, %d analyzed; want %d, %d",
-						seed, m, workers, s.Executions, s.Analyzed, execs, orders)
-				}
-				// Memo hits are counted at the leaf, never materialized.
-				if s.Recycled+s.Allocated != s.Analyzed {
-					t.Errorf("seed %d/%s workers=%d: %d recycled + %d allocated executions, want one per analysis (%d)",
-						seed, m, workers, s.Recycled, s.Allocated, s.Analyzed)
-				}
+			c := telemetry.NewCheck(p.Name, m.String())
+			got, err := CheckProgramWith(p, m, CheckOptions{Telemetry: c})
+			if err != nil {
+				t.Fatalf("seed %d/%s: %v", seed, m, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d/%s: verdict diverges\n got: %+v\nwant: %+v", seed, m, got, want)
+			}
+			s := c.Snapshot()
+			if s.Executions != execs || s.Analyzed != orders {
+				t.Errorf("seed %d/%s: %d executions, %d analyzed; want %d, %d",
+					seed, m, s.Executions, s.Analyzed, execs, orders)
+			}
+			// Memo hits are counted at the leaf, never materialized.
+			if s.Recycled+s.Allocated != s.Analyzed {
+				t.Errorf("seed %d/%s: %d recycled + %d allocated executions, want one per analysis (%d)",
+					seed, m, s.Recycled, s.Allocated, s.Analyzed)
 			}
 		}
 	}
@@ -191,27 +188,20 @@ func TestOrderMemoCap(t *testing.T) {
 }
 
 // TestEnumerateRejectsParallelMemo: the order memo is unsynchronized, so
-// Enumerate refuses it on the parallel first-step fan-out before any
-// execution reaches it.
+// Enumerate refuses it on the parallel first-step fan-out (a slice
+// enumeration: no Visit, not Naive) before any execution reaches it.
 func TestEnumerateRejectsParallelMemo(t *testing.T) {
 	p := litmus.RefCounter().Under(core.DRFrlx)
 	m := newOrderMemo(p)
 	if m == nil {
 		t.Fatal("RefCounter under DRFrlx has no quantum ops")
 	}
-	visits := 0
-	execs, err := Enumerate(p, EnumOptions{
-		Quantum: true, memo: m,
-		Visit: func(*Execution) error {
-			visits++
-			return nil
-		},
-	})
+	execs, err := Enumerate(p, EnumOptions{Quantum: true, memo: m})
 	if err == nil {
-		t.Fatal("Enumerate accepted the order memo without Sequential or Naive")
+		t.Fatal("Enumerate accepted the order memo on the first-step fan-out")
 	}
-	if execs != nil || visits != 0 || len(m.seen) != 0 || m.skipped.execs != 0 {
-		t.Errorf("rejected enumeration still ran: %d executions, %d visits, memo %d orders / %d skipped",
-			len(execs), visits, len(m.seen), m.skipped.execs)
+	if execs != nil || len(m.seen) != 0 || m.skipped.execs != 0 {
+		t.Errorf("rejected enumeration still ran: %d executions, memo %d orders / %d skipped",
+			len(execs), len(m.seen), m.skipped.execs)
 	}
 }

@@ -43,11 +43,13 @@ func signatureSet(execs []*Execution) map[string]bool {
 }
 
 // TestPORMatchesNaiveOnCatalog is the soundness property of the reduced
-// parallel enumerator: on every program of the litmus catalog (both the
-// raw program and its DRFrlx quantum-equivalent form), the default
-// Enumerate produces exactly the naive enumerator's set of execution
-// signatures — same final states, reads-from choices, values, and race
-// verdicts — while never producing more executions.
+// enumerator, over both of its walks: the slice enumeration's parallel
+// first-step fan-out and the streaming (Visit) walk the checker runs. On
+// every program of the litmus catalog (both the raw program and its
+// DRFrlx quantum-equivalent form), each produces exactly the naive
+// enumerator's set of execution signatures — same final states,
+// reads-from choices, values, and race verdicts — while never producing
+// more executions.
 func TestPORMatchesNaiveOnCatalog(t *testing.T) {
 	for _, tc := range litmus.Suite() {
 		tc := tc
@@ -65,32 +67,57 @@ func TestPORMatchesNaiveOnCatalog(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: naive enumeration failed: %v", v.name, err)
 				}
-				por, err := Enumerate(v.prog, v.opts)
+				fanOut, err := Enumerate(v.prog, v.opts)
 				if err != nil {
 					t.Fatalf("%s: reduced enumeration failed: %v", v.name, err)
 				}
-				if len(por) > len(naive) {
-					t.Fatalf("%s: POR produced %d executions, naive %d", v.name, len(por), len(naive))
+				var walk []*Execution
+				wopts := v.opts
+				wopts.Visit = func(ex *Execution) error {
+					walk = append(walk, ex)
+					return nil
 				}
-				ns, ps := signatureSet(naive), signatureSet(por)
-				for sig := range ns {
-					if !ps[sig] {
-						t.Errorf("%s: naive signature missing from POR set:\n%s", v.name, sig)
+				if _, err := Enumerate(v.prog, wopts); err != nil {
+					t.Fatalf("%s: reduced streaming walk failed: %v", v.name, err)
+				}
+				// The fan-out concatenates its branches in the walk's order.
+				if len(walk) != len(fanOut) {
+					t.Fatalf("%s: walk produced %d executions, fan-out %d", v.name, len(walk), len(fanOut))
+				}
+				for i := range walk {
+					if fmt.Sprint(walk[i].Order) != fmt.Sprint(fanOut[i].Order) {
+						t.Fatalf("%s: execution %d: walk order %v, fan-out order %v", v.name, i, walk[i].Order, fanOut[i].Order)
 					}
 				}
-				for sig := range ps {
-					if !ns[sig] {
-						t.Errorf("%s: POR produced a signature naive never does:\n%s", v.name, sig)
+				ns, nr := signatureSet(naive), Results(naive)
+				for _, red := range []struct {
+					name  string
+					execs []*Execution
+				}{{"fan-out", fanOut}, {"walk", walk}} {
+					name := v.name + "/" + red.name
+					if len(red.execs) > len(naive) {
+						t.Fatalf("%s: POR produced %d executions, naive %d", name, len(red.execs), len(naive))
 					}
-				}
-				// Results must agree as sets, not just signatures.
-				nr, pr := Results(naive), Results(por)
-				if len(nr) != len(pr) {
-					t.Fatalf("%s: result sets differ: naive %d, POR %d", v.name, len(nr), len(pr))
-				}
-				for k := range nr {
-					if _, ok := pr[k]; !ok {
-						t.Errorf("%s: final state %q lost by POR", v.name, k)
+					ps := signatureSet(red.execs)
+					for sig := range ns {
+						if !ps[sig] {
+							t.Errorf("%s: naive signature missing from POR set:\n%s", name, sig)
+						}
+					}
+					for sig := range ps {
+						if !ns[sig] {
+							t.Errorf("%s: POR produced a signature naive never does:\n%s", name, sig)
+						}
+					}
+					// Results must agree as sets, not just signatures.
+					pr := Results(red.execs)
+					if len(nr) != len(pr) {
+						t.Fatalf("%s: result sets differ: naive %d, POR %d", name, len(nr), len(pr))
+					}
+					for k := range nr {
+						if _, ok := pr[k]; !ok {
+							t.Errorf("%s: final state %q lost by POR", name, k)
+						}
 					}
 				}
 			}

@@ -5,10 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"rats/internal/core"
 	"rats/internal/litmus"
@@ -256,8 +254,7 @@ const (
 	// where possible and only the residue is searched, so heavily
 	// contended programs whose interleaving count is intractable still
 	// get exact verdicts. The backend must be registered by importing the
-	// solve package; it is verdict-only, so Materialize requests fall
-	// back to the enumerator.
+	// solve package.
 	ModeSolve Mode = "solve"
 )
 
@@ -277,20 +274,8 @@ func RegisterSolveBackend(fn func(*litmus.Program, core.Model, CheckOptions) (*V
 type CheckOptions struct {
 	// Mode selects the backend: ModeEnumerate (default) enumerates and
 	// classifies every SC execution; ModeSolve solves for racy executions
-	// instead, falling back to the enumerator when Materialize is set
-	// (the solver produces verdicts, not execution lists).
+	// instead.
 	Mode Mode
-	// Materialize switches from the default streaming pipeline (POR
-	// enumeration feeding a pool of Analyze workers through a bounded
-	// channel) to the two-phase mode that first collects every execution
-	// into a slice and then analyzes serially. The verdict is identical
-	// either way; materializing costs O(#executions) memory and exists
-	// for tests and debugging.
-	Materialize bool
-	// Workers caps the analysis worker pool (streaming mode only);
-	// <= 0 means GOMAXPROCS. Workers spawn lazily as the enumerator
-	// outpaces analysis, so small programs stay on one goroutine.
-	Workers int
 	// Limit overrides the enumerator's execution limit; 0 means the
 	// enumerator default.
 	Limit int
@@ -305,14 +290,14 @@ type CheckOptions struct {
 	// *CancelError wrapping the context's error.
 	Ctx context.Context
 	// Telemetry, when non-nil, receives the check's live engine counters
-	// (enumeration, pruning, analysis workers, verdict merge) and its
-	// lifecycle transitions. nil disables instrumentation at zero cost.
+	// (enumeration, pruning, analysis, verdict merge) and its lifecycle
+	// transitions. nil disables instrumentation at zero cost.
 	Telemetry *telemetry.Check
 	// Span, when non-nil, is the request-trace parent for this check:
-	// the pipeline opens "enumerate", per-worker "analyze.worker", and
-	// "merge" children under it, and links each enumerate child onto
-	// Telemetry (telemetry.Check.SetSpan) for the engine's own events —
-	// so the engine-internal "enumerated"/"enum.worker" annotations need
+	// the pipeline opens "enumerate" (enumeration with the inline
+	// analysis) and "merge" children under it, and links the enumerate
+	// child onto Telemetry (telemetry.Check.SetSpan) for the engine's own
+	// events — so the engine-internal "enumerated" annotation needs
 	// Telemetry set too. nil disables tracing at zero cost.
 	Span *rtrace.Span
 }
@@ -321,26 +306,24 @@ type CheckOptions struct {
 // quantum-equivalent form (as model m distinguishes its accesses) and
 // classifies every race. DRF0 and DRF1 forbid data races only; DRFrlx
 // forbids all five categories. The returned verdict aggregates races
-// across executions. Executions stream from the enumerator straight into
-// a pool of analysis workers, so memory stays bounded regardless of how
-// many executions the program has.
+// across executions. Each execution is analyzed as the enumerator
+// delivers it, on the enumerating goroutine, so memory stays bounded
+// regardless of how many executions the program has.
 func CheckProgram(p0 *litmus.Program, m core.Model) (*Verdict, error) {
 	return CheckProgramWith(p0, m, CheckOptions{})
 }
 
 // CheckProgramWith is CheckProgram with an explicit pipeline
-// configuration. The verdict is deterministic — byte-identical between
-// streaming and materializing modes and across worker counts — because
-// every aggregated field is an order-independent set union finished by a
-// sort.
+// configuration. The verdict is deterministic: every aggregated field is
+// an order-independent set union finished by a sort.
 func CheckProgramWith(p0 *litmus.Program, m core.Model, opts CheckOptions) (*Verdict, error) {
-	if opts.Mode == ModeSolve && !opts.Materialize {
+	if opts.Mode == ModeSolve {
 		if solveBackend == nil {
 			return nil, fmt.Errorf("memmodel: CheckOptions.Mode %q requires the solve backend: import rats/internal/memmodel/solve", opts.Mode)
 		}
 		return solveBackend(p0, m, opts)
 	}
-	if opts.Mode != ModeEnumerate && opts.Mode != ModeSolve {
+	if opts.Mode != ModeEnumerate {
 		return nil, fmt.Errorf("memmodel: unknown CheckOptions.Mode %q", opts.Mode)
 	}
 	p := p0.Under(m)
@@ -355,177 +338,46 @@ func CheckProgramWith(p0 *litmus.Program, m core.Model, opts CheckOptions) (*Ver
 	}
 	tel.Begin(int64(effLimit))
 	sp := opts.Span
+	// The analysis runs inline in the Visit callback: no channel, no
+	// goroutine hand-off, and one Execution recycled for every delivery,
+	// so memory is O(1) in the number of executions. Visit runs on the
+	// enumerating goroutine, so the enumerator can consult the order memo
+	// at every leaf: a repeat of an analyzed order is counted into the
+	// memo's shard without being built.
+	pv := newPartialVerdict()
+	an := NewAnalyzer()
+	w := tel.Worker()
+	memo := newOrderMemo(p)
+	var spare *Execution
 	eo := EnumOptions{
 		Quantum: true, Limit: opts.Limit, Telemetry: tel,
 		Ctx: opts.Ctx, TransitionLimit: opts.TransitionLimit,
-	}
-
-	if opts.Materialize {
-		en := sp.Child("enumerate")
-		tel.SetSpan(en)
-		execs, err := Enumerate(p, eo)
-		tel.SetSpan(nil)
-		en.End()
-		if err != nil {
-			tel.Finish(stateForErr(err))
-			return nil, err
-		}
-		aw := sp.Child("analyze.worker")
-		pv := newPartialVerdict()
-		an := NewAnalyzer()
-		w := tel.Worker()
-		for _, ex := range execs {
-			pv.add(an.Analyze(ex), kinds)
-			w.IncAnalyzed()
-		}
-		aw.SetInt("analyzed", int64(len(execs)))
-		aw.End()
-		mg := sp.Child("merge")
-		v := finishVerdict(p0.Name, m, []*partialVerdict{pv}, tel)
-		mg.End()
-		tel.Finish(telemetry.StateDone)
-		return v, nil
-	}
-
-	maxWorkers := opts.Workers
-	if maxWorkers <= 0 {
-		maxWorkers = runtime.GOMAXPROCS(0)
-	}
-	// Both streaming shapes enumerate on one goroutine, so the enumerator
-	// can consult the order memo at every leaf: a repeat of an analyzed
-	// order is counted into the memo's shard without being built.
-	eo.Sequential = true
-	eo.memo = newOrderMemo(p)
-	if maxWorkers == 1 {
-		// Single-worker streaming runs the analysis inline in the Visit
-		// callback: no channel, no goroutine hand-off, and one Execution
-		// recycled for every delivery, so memory is O(1) in the number of
-		// executions.
-		pv := newPartialVerdict()
-		an := NewAnalyzer()
-		w := tel.Worker()
-		var spare *Execution
-		eo.Recycle = func() *Execution {
+		Recycle: func() *Execution {
 			ex := spare
 			spare = nil
 			return ex
-		}
-		eo.Visit = func(ex *Execution) error {
+		},
+		Visit: func(ex *Execution) error {
 			pv.add(an.Analyze(ex), kinds)
 			w.IncAnalyzed()
 			spare = ex
 			return nil
-		}
-		// Enumeration and analysis interleave on one goroutine, so a
-		// single span covers both.
-		en := sp.Child("enumerate")
-		tel.SetSpan(en)
-		_, err := Enumerate(p, eo)
-		tel.SetSpan(nil)
-		en.End()
-		if err != nil {
-			tel.Finish(stateForErr(err))
-			return nil, err
-		}
-		mg := sp.Child("merge")
-		v := finishVerdict(p0.Name, m, eo.memo.shards([]*partialVerdict{pv}), tel)
-		mg.End()
-		tel.Finish(telemetry.StateDone)
-		return v, nil
+		},
+		memo: memo,
 	}
-	ch := make(chan *Execution, 4*maxWorkers)
-	var (
-		wg     sync.WaitGroup
-		parts  []*partialVerdict
-		exPool sync.Pool
-	)
-	// spawn adds one analysis worker with its own arena and verdict
-	// shard. Only the producer goroutine (the Visit callback below)
-	// spawns, so parts needs no lock until wg.Wait returns. Analyzed
-	// executions go back to the pool for the enumerator to refill, so the
-	// steady-state pipeline recycles a bounded working set (channel
-	// capacity + in-flight) instead of allocating per execution.
-	spawn := func() {
-		pv := newPartialVerdict()
-		parts = append(parts, pv)
-		w := tel.Worker()
-		var wsp *rtrace.Span
-		if sp != nil {
-			wsp = sp.Child("analyze.worker")
-			wsp.SetInt("worker", int64(len(parts)-1))
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			an := NewAnalyzer()
-			if w == nil && wsp == nil {
-				for ex := range ch {
-					pv.add(an.Analyze(ex), kinds)
-					exPool.Put(ex)
-				}
-				return
-			}
-			// Instrumented loop: a blocking receive on an empty channel
-			// means this worker outpaced the enumerator — count it as an
-			// idle wait before parking.
-			var analyzed int64
-			defer func() {
-				if wsp != nil {
-					wsp.SetInt("analyzed", analyzed)
-					wsp.End()
-				}
-			}()
-			for {
-				var ex *Execution
-				var ok bool
-				select {
-				case ex, ok = <-ch:
-				default:
-					w.IncIdle()
-					ex, ok = <-ch
-				}
-				if !ok {
-					return
-				}
-				pv.add(an.Analyze(ex), kinds)
-				w.IncAnalyzed()
-				analyzed++
-				exPool.Put(ex)
-			}
-		}()
-	}
-	spawn()
-	// Enumeration runs sequentially as the pipeline's producer: per
-	// execution it is several times cheaper than analysis, so the
-	// parallelism that matters is on the analysis side, and a single
-	// deterministic producer avoids the first-step fan-out's goroutine
-	// and state-cloning overhead. Additional workers spawn only on
-	// backlog — a channel filling up means analysis is falling behind —
-	// so programs with few executions stay on one goroutine.
-	eo.Recycle = func() *Execution {
-		ex, _ := exPool.Get().(*Execution)
-		return ex
-	}
-	eo.Visit = func(ex *Execution) error {
-		if len(ch) > len(parts) && len(parts) < maxWorkers {
-			spawn()
-		}
-		ch <- ex
-		return nil
-	}
+	// Enumeration and analysis interleave on one goroutine, so a single
+	// span covers both.
 	en := sp.Child("enumerate")
 	tel.SetSpan(en)
 	_, err := Enumerate(p, eo)
 	tel.SetSpan(nil)
 	en.End()
-	close(ch)
-	wg.Wait()
 	if err != nil {
 		tel.Finish(stateForErr(err))
 		return nil, err
 	}
 	mg := sp.Child("merge")
-	v := finishVerdict(p0.Name, m, eo.memo.shards(parts), tel)
+	v := finishVerdict(p0.Name, m, memo.shards([]*partialVerdict{pv}), tel)
 	mg.End()
 	tel.Finish(telemetry.StateDone)
 	return v, nil
@@ -588,8 +440,8 @@ func (m *orderMemo) repeat(order []int, key string) bool {
 	return false
 }
 
-// shards adds the memo's shard to the analysis workers' verdict shards
-// (none for a nil memo).
+// shards adds the memo's shard to the analyzed executions' verdict
+// shards (none for a nil memo).
 func (m *orderMemo) shards(parts []*partialVerdict) []*partialVerdict {
 	if m == nil {
 		return parts
@@ -609,8 +461,9 @@ func stateForErr(err error) telemetry.CheckState {
 	return telemetry.StateFailed
 }
 
-// partialVerdict is one analysis worker's shard of the verdict. All
-// fields are sets (or counts), so merging shards is order-independent.
+// partialVerdict is one shard of the verdict: the analyzed executions',
+// or those the order memo counted without analysis. All fields are sets
+// (or counts), so merging shards is order-independent.
 type partialVerdict struct {
 	execs     int
 	scResults map[string]bool
@@ -655,12 +508,12 @@ func (pv *partialVerdict) add(a *Analysis, kinds []RaceKind) {
 	}
 }
 
-// finishVerdict merges worker shards into the final verdict. Set union
+// finishVerdict merges verdict shards into the final verdict. Set union
 // followed by a sort makes the result independent of how executions were
-// partitioned across workers and of delivery order. The telemetry check
+// partitioned across shards and of delivery order. The telemetry check
 // (when instrumented) records the merge shape: distinct racy pairs and
-// SC results (deterministic), plus the shard-set entries fed into the
-// union (scheduling-dependent — how executions landed on workers).
+// SC results, plus the shard-set entries fed into the union (which
+// depend on that partition).
 func finishVerdict(name string, m core.Model, parts []*partialVerdict, tel *telemetry.Check) *Verdict {
 	v := &Verdict{
 		Prog: name, Model: m, Legal: true,

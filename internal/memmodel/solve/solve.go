@@ -123,8 +123,7 @@ func check(p0 *litmus.Program, m core.Model, opts memmodel.CheckOptions) (*memmo
 		collected := map[string]bool{}
 		stopped := false
 		eo := memmodel.EnumOptions{
-			Quantum: true, Sequential: true,
-			Limit: opts.Limit, Ctx: opts.Ctx,
+			Quantum: true, Limit: opts.Limit, Ctx: opts.Ctx,
 			TransitionLimit: opts.TransitionLimit,
 			Telemetry:       tel,
 			Visit: func(ex *memmodel.Execution) error {

@@ -10,29 +10,26 @@ import (
 
 // TestStreamingMatchesMaterialize is the determinism contract of the
 // streaming pipeline: for every catalog program and model, the verdict
-// must be byte-identical between the materializing reference mode and
-// streaming at several worker counts — delivery order is unspecified, but
-// every aggregated field is a set merged by union and finished by a sort.
+// must be byte-identical to the memo-free two-phase reference, which
+// collects the executions through the first-step fan-out and analyzes
+// them afterwards — every aggregated field is a set merged by union and
+// finished by a sort.
 func TestStreamingMatchesMaterialize(t *testing.T) {
 	for _, tc := range litmus.Suite() {
 		for _, m := range []core.Model{core.DRF0, core.DRF1, core.DRFrlx} {
-			want, err := CheckProgramWith(tc.Prog, m, CheckOptions{Materialize: true})
+			want, err := checkTwoPhase(tc.Prog, m, nil)
 			if err != nil {
-				t.Fatalf("%s/%s materialize: %v", tc.Prog.Name, m, err)
+				t.Fatalf("%s/%s two-phase: %v", tc.Prog.Name, m, err)
 			}
-			for _, workers := range []int{1, 2, 5} {
-				got, err := CheckProgramWith(tc.Prog, m, CheckOptions{Workers: workers})
-				if err != nil {
-					t.Fatalf("%s/%s workers=%d: %v", tc.Prog.Name, m, workers, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%s workers=%d: verdict diverges\n got: %+v\nwant: %+v",
-						tc.Prog.Name, m, workers, got, want)
-				}
-				if got.Summary() != want.Summary() {
-					t.Errorf("%s/%s workers=%d: summary diverges: %q vs %q",
-						tc.Prog.Name, m, workers, got.Summary(), want.Summary())
-				}
+			got, err := CheckProgram(tc.Prog, m)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.Prog.Name, m, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: verdict diverges\n got: %+v\nwant: %+v", tc.Prog.Name, m, got, want)
+			}
+			if got.Summary() != want.Summary() {
+				t.Errorf("%s/%s: summary diverges: %q vs %q", tc.Prog.Name, m, got.Summary(), want.Summary())
 			}
 		}
 	}
@@ -51,8 +48,7 @@ func TestStreamingRecyclesExecutions(t *testing.T) {
 	visits := 0
 	var spare *Execution
 	_, err := Enumerate(p.Prog.Under(core.DRFrlx), EnumOptions{
-		Quantum:    true,
-		Sequential: true,
+		Quantum: true,
 		Recycle: func() *Execution {
 			ex := spare
 			spare = nil
@@ -85,8 +81,7 @@ func TestStreamingStopsOnErrStop(t *testing.T) {
 	}
 	visits := 0
 	execs, err := Enumerate(p.Prog.Under(core.DRFrlx), EnumOptions{
-		Quantum:    true,
-		Sequential: true,
+		Quantum: true,
 		Visit: func(ex *Execution) error {
 			visits++
 			if visits == 3 {
@@ -110,13 +105,13 @@ func TestStreamingStopsOnErrStop(t *testing.T) {
 // random programs whose naive enumeration exceeds the execution limit
 // (the trailing seeds of TestTheoremPropertyRandom): the streaming
 // pipeline must complete under partial-order reduction and agree with the
-// materializing mode.
+// two-phase reference.
 func TestStreamingNaiveIntractableSeeds(t *testing.T) {
 	for _, seed := range []int64{346, 960, 5861} {
 		p := randomProgram(seed)
-		want, err := CheckProgramWith(p, core.DRFrlx, CheckOptions{Materialize: true})
+		want, err := checkTwoPhase(p, core.DRFrlx, nil)
 		if err != nil {
-			t.Fatalf("seed %d materialize: %v", seed, err)
+			t.Fatalf("seed %d two-phase: %v", seed, err)
 		}
 		got, err := CheckProgram(p, core.DRFrlx)
 		if err != nil {

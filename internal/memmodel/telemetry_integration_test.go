@@ -15,7 +15,7 @@ import (
 // analyzed (the order memo counts the repeats the quantum transformation
 // makes at the enumerator's leaf), and the merge sizes match the
 // verdict's race/SC sets. RefCounter and RefCounterTwo pin the memo by
-// exact count at both streaming shapes.
+// exact count.
 func TestCheckTelemetryCounts(t *testing.T) {
 	for _, tc := range []struct {
 		prog *litmus.Program
@@ -34,72 +34,63 @@ func TestCheckTelemetryCounts(t *testing.T) {
 		if tc.execs != 0 && (execs != tc.execs || orders != tc.orders) {
 			t.Errorf("%s: %d executions over %d orders, want %d over %d", prog.Name, execs, orders, tc.execs, tc.orders)
 		}
-		for _, workers := range []int{1, 2} {
-			c := telemetry.NewCheck(prog.Name, core.DRFrlx.String())
-			v, err := CheckProgramWith(prog, core.DRFrlx, CheckOptions{Workers: workers, Telemetry: c})
-			if err != nil {
-				t.Fatalf("%s: %v", prog.Name, err)
-			}
-			if c.State() != telemetry.StateDone {
-				t.Errorf("%s: state = %v, want done", prog.Name, c.State())
-			}
-			s := c.Snapshot()
-			if s.Executions != int64(v.Execs) || s.Executions != execs {
-				t.Errorf("%s workers=%d: telemetry executions = %d, verdict execs = %d, want %d",
-					prog.Name, workers, s.Executions, v.Execs, execs)
-			}
-			if s.Analyzed != orders {
-				t.Errorf("%s workers=%d: analyzed = %d, want one per distinct order (%d)", prog.Name, workers, s.Analyzed, orders)
-			}
-			if s.Recycled+s.Allocated != s.Analyzed {
-				t.Errorf("%s workers=%d: %d recycled + %d allocated executions, want one per analysis (%d): memo hits must not be built",
-					prog.Name, workers, s.Recycled, s.Allocated, s.Analyzed)
-			}
-			if s.Transitions < s.Executions {
-				t.Errorf("%s: transitions = %d < executions = %d", prog.Name, s.Transitions, s.Executions)
-			}
-			var distinct int
-			for _, descs := range v.Races {
-				distinct += len(descs)
-			}
-			if s.RacePairs != int64(distinct) {
-				t.Errorf("%s: race pairs = %d, verdict distinct races = %d", prog.Name, s.RacePairs, distinct)
-			}
-			if s.SCResults != int64(len(v.SCResults)) {
-				t.Errorf("%s: sc results = %d, verdict = %d", prog.Name, s.SCResults, len(v.SCResults))
-			}
-			if s.BudgetFraction <= 0 || s.BudgetFraction > 1 {
-				t.Errorf("%s: budget fraction = %v", prog.Name, s.BudgetFraction)
-			}
+		c := telemetry.NewCheck(prog.Name, core.DRFrlx.String())
+		v, err := CheckProgramWith(prog, core.DRFrlx, CheckOptions{Telemetry: c})
+		if err != nil {
+			t.Fatalf("%s: %v", prog.Name, err)
+		}
+		if c.State() != telemetry.StateDone {
+			t.Errorf("%s: state = %v, want done", prog.Name, c.State())
+		}
+		s := c.Snapshot()
+		if s.Executions != int64(v.Execs) || s.Executions != execs {
+			t.Errorf("%s: telemetry executions = %d, verdict execs = %d, want %d",
+				prog.Name, s.Executions, v.Execs, execs)
+		}
+		if s.Analyzed != orders {
+			t.Errorf("%s: analyzed = %d, want one per distinct order (%d)", prog.Name, s.Analyzed, orders)
+		}
+		if s.Recycled+s.Allocated != s.Analyzed {
+			t.Errorf("%s: %d recycled + %d allocated executions, want one per analysis (%d): memo hits must not be built",
+				prog.Name, s.Recycled, s.Allocated, s.Analyzed)
+		}
+		if s.Transitions < s.Executions {
+			t.Errorf("%s: transitions = %d < executions = %d", prog.Name, s.Transitions, s.Executions)
+		}
+		var distinct int
+		for _, descs := range v.Races {
+			distinct += len(descs)
+		}
+		if s.RacePairs != int64(distinct) {
+			t.Errorf("%s: race pairs = %d, verdict distinct races = %d", prog.Name, s.RacePairs, distinct)
+		}
+		if s.SCResults != int64(len(v.SCResults)) {
+			t.Errorf("%s: sc results = %d, verdict = %d", prog.Name, s.SCResults, len(v.SCResults))
+		}
+		if s.BudgetFraction <= 0 || s.BudgetFraction > 1 {
+			t.Errorf("%s: budget fraction = %v", prog.Name, s.BudgetFraction)
 		}
 	}
 }
 
-// TestCheckTelemetryDeterministic: the deterministic Record must be
-// byte-for-byte identical across worker counts and pipeline modes — it
-// is a function of the explored search tree, not of scheduling, nor of
-// how many executions the order memo let skip analysis (RefCounter).
+// TestCheckTelemetryDeterministic: the deterministic Record of every
+// catalog check under every model must equal the memo-free two-phase
+// reference's — it is a function of the explored search tree, not of
+// which walk explored it (the first-step fan-out or the streaming
+// walk), nor of how many executions the order memo let skip analysis.
 func TestCheckTelemetryDeterministic(t *testing.T) {
-	for _, prog := range []*litmus.Program{litmus.Seqlocks(), litmus.RefCounter()} {
-		var want telemetry.Record
-		for i, opts := range []CheckOptions{
-			{Workers: 1},
-			{Workers: 2},
-			{Workers: 5},
-			{Materialize: true},
-		} {
-			c := telemetry.NewCheck(prog.Name, core.DRFrlx.String())
-			opts.Telemetry = c
-			if _, err := CheckProgramWith(prog, core.DRFrlx, opts); err != nil {
-				t.Fatal(err)
+	for _, tc := range litmus.Suite() {
+		for _, m := range []core.Model{core.DRF0, core.DRF1, core.DRFrlx} {
+			ref := telemetry.NewCheck(tc.Prog.Name, m.String())
+			if _, err := checkTwoPhase(tc.Prog, m, ref); err != nil {
+				t.Fatalf("%s/%s two-phase: %v", tc.Prog.Name, m, err)
 			}
-			rec := c.Record()
-			if i == 0 {
-				want = rec
-				continue
+			c := telemetry.NewCheck(tc.Prog.Name, m.String())
+			if _, err := CheckProgramWith(tc.Prog, m, CheckOptions{Telemetry: c}); err != nil {
+				t.Fatalf("%s/%s: %v", tc.Prog.Name, m, err)
 			}
-			if rec != want {
-				t.Errorf("%s opts %+v: record = %+v, want %+v", prog.Name, opts, rec, want)
+			if got, want := c.Record(), ref.Record(); got != want {
+				t.Errorf("%s/%s: record = %+v, want %+v", tc.Prog.Name, m, got, want)
 			}
 		}
 	}

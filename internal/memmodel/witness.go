@@ -32,8 +32,8 @@ func FindWitness(p *litmus.Program, m core.Model) (*Witness, error) {
 // FindWitnessWith is FindWitness with caller-supplied enumeration
 // bounds: opts.Ctx, Limit, and TransitionLimit are honored, so a witness
 // search on hostile input stays as bounded as the check that preceded
-// it. The search-shape fields (Sequential, Quantum, Visit) are owned by
-// the witness search and overridden.
+// it. The search-shape fields (Quantum, Visit) are owned by the witness
+// search and overridden.
 func FindWitnessWith(p *litmus.Program, m core.Model, opts EnumOptions) (*Witness, error) {
 	kinds := []RaceKind{DataRace}
 	if m == core.DRFrlx {
@@ -42,7 +42,6 @@ func FindWitnessWith(p *litmus.Program, m core.Model, opts EnumOptions) (*Witnes
 	var w *Witness
 	an := NewAnalyzer()
 	opts.Quantum = true
-	opts.Sequential = true
 	opts.Visit = func(ex *Execution) error {
 		a := an.Analyze(ex)
 		for _, k := range kinds {

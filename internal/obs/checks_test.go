@@ -152,7 +152,7 @@ func TestChecksEndpointConcurrent(t *testing.T) {
 			defer wg.Done()
 			c := reg.NewCheck(p.Name, core.DRFrlx.String())
 			c.SetSuiteWorker(i)
-			v, err := memmodel.CheckProgramWith(p, core.DRFrlx, memmodel.CheckOptions{Telemetry: c, Workers: 2})
+			v, err := memmodel.CheckProgramWith(p, core.DRFrlx, memmodel.CheckOptions{Telemetry: c})
 			if err != nil {
 				t.Errorf("%s: %v", p.Name, err)
 				return
