@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -198,37 +199,50 @@ func normalizeExpr(e litmus.Expr) litmus.Expr {
 	return n
 }
 
-func exprSig(e litmus.Expr) string {
-	n := normalizeExpr(e)
-	var b strings.Builder
-	b.WriteString(strconv.FormatInt(n.Const, 10))
-	for _, r := range n.Regs {
-		b.WriteString("+r")
-		b.WriteString(strconv.Itoa(int(r)))
+// appendExprSig appends e's signature: its constant, then "+r<n>" for
+// each register in ascending order.
+func appendExprSig(b []byte, e litmus.Expr) []byte {
+	b = strconv.AppendInt(b, e.Const, 10)
+	for _, r := range normalizeExpr(e).Regs {
+		b = strconv.AppendInt(append(b, "+r"...), int64(r), 10)
 	}
-	return b.String()
+	return b
 }
 
 func guardSig(g litmus.Guard) string {
-	return fmt.Sprintf("%s?%d?%s", exprSig(g.A), g.Op, exprSig(g.B))
+	b := append(appendExprSig(nil, g.A), '?')
+	b = append(strconv.AppendUint(b, uint64(g.Op), 10), '?')
+	return string(appendExprSig(b, g.B))
 }
 
 // opSig serializes one op under the current location labels, for the
 // refinement pass. It intentionally mirrors normalizeOp's view of what
-// matters semantically.
+// matters semantically. It renders with appends, not fmt: the
+// canonicalizer and SymmetryKey call it for every op of every check.
 func opSig(o litmus.Op, locLabel map[litmus.Loc]string) string {
 	if o.IsBranch {
-		return "b:" + exprSig(o.Cond)
+		return string(appendExprSig([]byte("b:"), o.Cond))
 	}
-	var gs []string
-	for _, g := range o.Guards {
-		gs = append(gs, guardSig(g))
+	gs := make([]string, len(o.Guards))
+	for i, g := range o.Guards {
+		gs[i] = guardSig(g)
 	}
 	sort.Strings(gs)
-	deps := append([]litmus.Reg(nil), o.AddrDeps...)
-	sort.Slice(deps, func(a, b int) bool { return deps[a] < deps[b] })
-	return fmt.Sprintf("c%d;a%d;l%s;d%d;o%s;e%s;ad%v;g%s",
-		o.Class, o.AOp, locLabel[o.Loc], o.Dst, exprSig(o.Operand), exprSig(o.Expected), deps, strings.Join(gs, "&"))
+	deps := slices.Clone(o.AddrDeps)
+	slices.Sort(deps)
+	b := strconv.AppendUint([]byte("c"), uint64(o.Class), 10)
+	b = strconv.AppendUint(append(b, ";a"...), uint64(o.AOp), 10)
+	b = append(append(b, ";l"...), locLabel[o.Loc]...)
+	b = strconv.AppendInt(append(b, ";d"...), int64(o.Dst), 10)
+	b = appendExprSig(append(b, ";o"...), o.Operand)
+	b = append(appendExprSig(append(b, ";e"...), o.Expected), ";ad["...)
+	for i, d := range deps {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(d), 10)
+	}
+	return string(append(append(b, "];g"...), strings.Join(gs, "&")...))
 }
 
 func threadSig(t *litmus.Thread, locLabel map[litmus.Loc]string) string {
@@ -253,6 +267,26 @@ func SymmetryKey(t *litmus.Thread) string {
 		}
 	}
 	return strconv.Itoa(t.NumRegs()) + "\x00" + threadSig(t, names)
+}
+
+// SymmetryClasses groups p's threads by SymmetryKey: classOf[t] is thread
+// t's class, and classes lists each class's threads in index order, the
+// classes ordered by their first thread.
+func SymmetryClasses(p *litmus.Program) (classOf []int, classes [][]int) {
+	sig := map[string]int{}
+	classOf = make([]int, len(p.Threads))
+	for t, th := range p.Threads {
+		key := SymmetryKey(th)
+		ci, ok := sig[key]
+		if !ok {
+			ci = len(classes)
+			sig[key] = ci
+			classes = append(classes, nil)
+		}
+		classOf[t] = ci
+		classes[ci] = append(classes[ci], t)
+	}
+	return classOf, classes
 }
 
 // RewriteVerdict maps a verdict computed on the canonical program back

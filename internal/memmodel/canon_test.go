@@ -1,7 +1,11 @@
 package memmodel
 
 import (
+	"fmt"
 	"reflect"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"rats/internal/core"
@@ -237,6 +241,67 @@ func TestRewriteVerdictMatchesDirectCheck(t *testing.T) {
 			if !reflect.DeepEqual(got, direct) {
 				t.Errorf("%s/%s: rewritten verdict differs from direct check\n  rewritten: %+v\n  direct:    %+v", name, m, got, direct)
 			}
+		}
+	}
+}
+
+// sprintfOpSig is opSig's former fmt rendering, the reference for the
+// append-based one.
+func sprintfOpSig(o litmus.Op, locLabel map[litmus.Loc]string) string {
+	exprSig := func(e litmus.Expr) string {
+		var b strings.Builder
+		b.WriteString(strconv.FormatInt(e.Const, 10))
+		for _, r := range normalizeExpr(e).Regs {
+			b.WriteString("+r" + strconv.Itoa(int(r)))
+		}
+		return b.String()
+	}
+	if o.IsBranch {
+		return "b:" + exprSig(o.Cond)
+	}
+	var gs []string
+	for _, g := range o.Guards {
+		gs = append(gs, fmt.Sprintf("%s?%d?%s", exprSig(g.A), g.Op, exprSig(g.B)))
+	}
+	sort.Strings(gs)
+	deps := append([]litmus.Reg(nil), o.AddrDeps...)
+	sort.Slice(deps, func(a, b int) bool { return deps[a] < deps[b] })
+	return fmt.Sprintf("c%d;a%d;l%s;d%d;o%s;e%s;ad%v;g%s",
+		o.Class, o.AOp, locLabel[o.Loc], o.Dst, exprSig(o.Operand), exprSig(o.Expected), deps, strings.Join(gs, "&"))
+}
+
+// TestOpSigMatchesSprintf: the append-based opSig renders every op of
+// the catalog and of the random generators byte for byte as its fmt
+// form did, so canonical thread and location order (and every cache key)
+// is unchanged. Extra ops cover unsorted registers, guards and address
+// dependencies, negative constants and the no-register destination.
+func TestOpSigMatchesSprintf(t *testing.T) {
+	var ops []litmus.Op
+	add := func(p *litmus.Program) {
+		for _, th := range p.Threads {
+			ops = append(ops, th.Ops...)
+		}
+	}
+	for _, tc := range litmus.Suite() {
+		add(tc.Prog)
+	}
+	for seed := int64(0); seed < 300; seed++ {
+		add(randomProgram(seed))
+		add(randomQuantumProgram(seed))
+	}
+	e := litmus.Expr{Const: -7, Regs: []litmus.Reg{3, 1, 2}}
+	ops = append(ops,
+		litmus.Op{IsBranch: true, Cond: e},
+		litmus.Op{Class: core.Quantum, AOp: core.OpCAS, Loc: "X", Dst: litmus.NoReg, Operand: e, Expected: e,
+			AddrDeps: []litmus.Reg{4, 0, 2},
+			Guards: []litmus.Guard{
+				{A: e, B: litmus.ConstExpr(-1), Op: litmus.GuardNE},
+				litmus.EQConst(1, 5), litmus.EQReg(2, 0),
+			}})
+	labels := map[litmus.Loc]string{"X": "lx", "Y": "ly", "Z": "lz"}
+	for _, o := range ops {
+		if got, want := opSig(o, labels), sprintfOpSig(o, labels); got != want {
+			t.Fatalf("op %v: opSig %q, fmt form %q", o, got, want)
 		}
 	}
 }

@@ -83,13 +83,8 @@ func (e *Execution) ResultKey() string {
 	return e.key
 }
 
-// FinalResultKey serializes a final memory state exactly as
-// Execution.ResultKey does ("loc=val;" segments sorted by location
-// name), so backends that derive final states without materializing
-// executions — the solve package's memoized state search — produce keys
-// comparable to the enumerator's SCResults sets.
-func FinalResultKey(final map[litmus.Loc]int64) string { return resultKey(final) }
-
+// resultKey serializes a final memory state: "loc=val;" segments sorted
+// by location name.
 func resultKey(final map[litmus.Loc]int64) string {
 	locs := make([]string, 0, len(final))
 	for l := range final {
@@ -338,6 +333,14 @@ type opInfo struct {
 	id      int // event ID, -1 for branches
 }
 
+// newOpInfo summarizes op at location index loc with event ID id.
+func newOpInfo(op *litmus.Op, quantum bool, loc, id int) opInfo {
+	return opInfo{
+		isBranch: op.IsBranch, hasGuards: len(op.Guards) > 0, writes: op.Writes(), reads: op.Reads(),
+		quantum: quantum, dst: op.Dst, loc: loc, id: id,
+	}
+}
+
 type enumerator struct {
 	prog   *litmus.Program
 	lay    eventLayout
@@ -379,13 +382,9 @@ type enumerator struct {
 	// equivalent sibling branch and is therefore redundant here.
 	sleep uint64
 
-	// keyBuf is the reusable buffer holding the raw final-memory words;
-	// keyIntern maps those words to their rendered result key (distinct
-	// final states are few, so each is rendered once and key lookup is
-	// allocation-free in steady state). Both are per-worker: clone leaves
-	// them nil.
-	keyBuf    []byte
-	keyIntern map[string]string
+	// keys renders result keys, interned per worker: clone leaves it
+	// empty.
+	keys resultKeys
 
 	execs []*Execution
 	err   error
@@ -459,16 +458,7 @@ func newEnumerator(p *litmus.Program, opts EnumOptions) *enumerator {
 		e.info[t] = make([]opInfo, len(th.Ops))
 		for i := range th.Ops {
 			op := &th.Ops[i]
-			e.info[t][i] = opInfo{
-				isBranch:  op.IsBranch,
-				hasGuards: len(op.Guards) > 0,
-				writes:    op.Writes(),
-				reads:     op.Reads(),
-				quantum:   opts.Quantum && op.Class == core.Quantum,
-				dst:       op.Dst,
-				loc:       e.lay.locID[t][i],
-				id:        e.lay.id[t][i],
-			}
+			e.info[t][i] = newOpInfo(op, opts.Quantum && op.Class == core.Quantum, e.lay.locID[t][i], e.lay.id[t][i])
 			if id := e.lay.id[t][i]; id >= 0 {
 				e.proto[id] = Event{ID: id, Thread: t, OpIndex: i, Op: *op, TPos: -1}
 			}
@@ -618,7 +608,7 @@ func (e *enumerator) runParallel() ([]*Execution, error) {
 		if e.por {
 			child = e.filterSleep(sleepAcc, inf)
 		}
-		loads, stores := e.choices(inf)
+		loads, stores := choices(inf, e.domain)
 		for _, lv := range loads {
 			for _, sv := range stores {
 				tasks = append(tasks, task{t: t, inf: inf, lv: lv, sv: sv, sleep: child})
@@ -811,7 +801,7 @@ func (e *enumerator) step() {
 // exec runs thread t's current op with all applicable value choices,
 // recursing after each.
 func (e *enumerator) exec(t int, inf *opInfo) {
-	loadChoices, storeChoices := e.choices(inf)
+	loadChoices, storeChoices := choices(inf, e.domain)
 	for _, lv := range loadChoices {
 		for _, sv := range storeChoices {
 			e.execOne(t, inf, lv, sv)
@@ -827,14 +817,14 @@ func (e *enumerator) exec(t int, inf *opInfo) {
 var oneChoice = []int64{0}
 
 // choices returns the quantum load/store value-choice lists for op.
-func (e *enumerator) choices(inf *opInfo) (loads, stores []int64) {
+func choices(inf *opInfo, domain []int64) (loads, stores []int64) {
 	loads, stores = oneChoice, oneChoice
 	if inf.quantum {
 		if inf.reads {
-			loads = e.domain
+			loads = domain
 		}
 		if inf.writes {
-			stores = e.domain
+			stores = domain
 		}
 	}
 	return loads, stores
@@ -912,7 +902,7 @@ func (e *enumerator) record() {
 		return
 	}
 	e.tel.IncEnumerated()
-	key := e.finalKey()
+	key := e.keys.of(e.lay.locs, e.mem)
 	if e.opts.memo.repeat(e.order, key) {
 		return
 	}
@@ -976,40 +966,36 @@ func (e *enumerator) record() {
 	e.execs = append(e.execs, ex)
 }
 
-// finalKey returns the ResultKey of the current final memory state,
-// interned by the raw memory words, so each distinct final state is
-// rendered once per worker rather than once per execution.
-func (e *enumerator) finalKey() string {
-	e.keyBuf = e.keyBuf[:0]
-	for _, v := range e.mem {
-		e.keyBuf = binary.LittleEndian.AppendUint64(e.keyBuf, uint64(v))
-	}
-	if key, ok := e.keyIntern[string(e.keyBuf)]; ok {
-		return key
-	}
-	// Render after the raw words; lay.locs is in Locs() order, which is
-	// ascending by name, the order ResultKey serializes.
-	raw := len(e.keyBuf)
-	for i, l := range e.lay.locs {
-		e.keyBuf = append(e.keyBuf, l...)
-		e.keyBuf = append(e.keyBuf, '=')
-		e.keyBuf = strconv.AppendInt(e.keyBuf, e.mem[i], 10)
-		e.keyBuf = append(e.keyBuf, ';')
-	}
-	key := string(e.keyBuf[raw:])
-	if e.keyIntern == nil {
-		e.keyIntern = make(map[string]string, 8)
-	}
-	e.keyIntern[string(e.keyBuf[:raw])] = key
-	return key
+// resultKeys renders final memory states as result keys, interned by
+// their raw memory words: distinct final states are few, so each is
+// rendered once per search and a lookup is allocation-free in steady
+// state.
+type resultKeys struct {
+	buf    []byte
+	intern map[string]string
 }
 
-// Results returns the set of distinct final memory states over a slice of
-// executions, keyed by ResultKey.
-func Results(execs []*Execution) map[string]map[litmus.Loc]int64 {
-	out := map[string]map[litmus.Loc]int64{}
-	for _, e := range execs {
-		out[e.ResultKey()] = e.Final
+// of returns the result key of mem, whose entries follow locs (Locs()
+// order, which is ascending by name, the order ResultKey serializes).
+func (k *resultKeys) of(locs []litmus.Loc, mem []int64) string {
+	k.buf = k.buf[:0]
+	for _, v := range mem {
+		k.buf = binary.LittleEndian.AppendUint64(k.buf, uint64(v))
 	}
-	return out
+	if key, ok := k.intern[string(k.buf)]; ok {
+		return key
+	}
+	raw := len(k.buf)
+	for i, l := range locs {
+		k.buf = append(k.buf, l...)
+		k.buf = append(k.buf, '=')
+		k.buf = strconv.AppendInt(k.buf, mem[i], 10)
+		k.buf = append(k.buf, ';')
+	}
+	key := string(k.buf[raw:])
+	if k.intern == nil {
+		k.intern = make(map[string]string, 8)
+	}
+	k.intern[string(k.buf[:raw])] = key
+	return key
 }

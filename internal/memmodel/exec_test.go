@@ -241,22 +241,6 @@ func TestGuardSkipsProduceNoEvents(t *testing.T) {
 	}
 }
 
-func TestResultsHelper(t *testing.T) {
-	execs, err := Enumerate(twoByTwo(), EnumOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := Results(execs)
-	if len(rs) != 3 {
-		t.Fatalf("Results has %d entries", len(rs))
-	}
-	for k, final := range rs {
-		if resultKey(final) != k {
-			t.Error("Results key mismatch")
-		}
-	}
-}
-
 // resultKeyProgram stretches the enumerator's interned result keys past
 // the catalog: negative and multi-digit values, and locations first used
 // in non-lexical order (Y, X, AB). Under DRFrlx the quantum accesses take
@@ -288,7 +272,7 @@ func TestResultKeyMatchesFinal(t *testing.T) {
 		progs = append(progs, tc.Prog)
 	}
 	check := func(ex *Execution) error {
-		if got, want := ex.ResultKey(), FinalResultKey(ex.Final); got != want {
+		if got, want := ex.ResultKey(), resultKey(ex.Final); got != want {
 			return fmt.Errorf("result key %q, want %q", got, want)
 		}
 		return nil

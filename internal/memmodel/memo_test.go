@@ -70,20 +70,32 @@ func TestOrderDeterminesRaces(t *testing.T) {
 	}
 }
 
-// randomQuantumProgram generates small random programs for the order
-// memo's differential check: every class including Quantum, a quantum
-// domain of three values, and ops guarded on an earlier load's value, so
-// quantum value choices both repeat orders and change which events are
-// present.
+// randomQuantumProgram generates small random programs for the
+// differential oracles: every class including Quantum, a quantum domain
+// of three values, three locations, loads, stores, increments and CAS,
+// data and address dependencies, branches, and ops guarded on an earlier
+// load's value, so quantum value choices both repeat orders and change
+// which events are present. A thread after the first copies an earlier
+// one with chance one in three, at most once per program, so
+// thread-symmetry classes form without three identical threads piling
+// up on one location.
 func randomQuantumProgram(seed int64) *litmus.Program {
 	rng := rand.New(rand.NewSource(seed))
 	classes := core.Classes()
-	locs := []litmus.Loc{"X", "Y"}
+	locs := []litmus.Loc{"X", "Y", "Z"}
 	p := litmus.New("quantum" + strconv.FormatInt(seed, 10))
 	p.QuantumDomain = []int64{0, 1, 2}
 	nThreads := 2 + rng.Intn(2)
+	copied := false
 	for t := 0; t < nThreads; t++ {
 		th := p.Thread("t" + strconv.Itoa(t))
+		if t > 0 && !copied && rng.Intn(3) == 0 {
+			src := p.Threads[rng.Intn(t)]
+			th.Ops = append([]litmus.Op(nil), src.Ops...)
+			th.SetNumRegs(src.NumRegs())
+			copied = true
+			continue
+		}
 		last := litmus.NoReg
 		nOps := 2 + rng.Intn(2)
 		for i := 0; i < nOps; i++ {
@@ -93,16 +105,27 @@ func randomQuantumProgram(seed int64) *litmus.Program {
 			if guarded {
 				th.WithGuards(litmus.EQConst(last, int64(rng.Intn(3))))
 			}
-			switch rng.Intn(3) {
-			case 0:
+			// Kinds 4 and 5 depend on the last loaded register; without
+			// one they fall back to a store and a load.
+			switch k := rng.Intn(6); {
+			case k == 0 || k == 5 && last == litmus.NoReg:
 				last = th.Load(loc, c)
-			case 1:
+			case k == 1 || k == 4 && last == litmus.NoReg:
 				th.Store(loc, int64(rng.Intn(3)), c)
-			default:
+			case k == 2:
 				last = th.RMW(core.OpInc, loc, 0, c)
+			case k == 3:
+				last = th.CAS(loc, int64(rng.Intn(2)), int64(1+rng.Intn(2)), c)
+			case k == 4: // data dependency
+				th.StoreExpr(loc, litmus.RegExpr(last), c)
+			default: // address dependency
+				last = th.LoadDep(loc, last, c)
 			}
 			if guarded {
 				th.EndGuards()
+			}
+			if last != litmus.NoReg && rng.Intn(4) == 0 {
+				th.Use(last) // a branch: later ops are control-dependent
 			}
 		}
 	}

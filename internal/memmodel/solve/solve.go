@@ -26,11 +26,13 @@
 //     full union) and the visited executions double as the SC result
 //     set.
 //  3. State search (solve.states): the SC result set, when phase 2 did
-//     not already produce it, comes from a memoized DFS over
-//     (pc, memory, registers) states of the quantum-equivalent program
-//     with thread-symmetry-canonicalized memo keys — decision/
-//     propagation/conflict/learned counters map onto DPLL vocabulary
-//     (branching states, forced moves, memo hits, memoized states).
+//     not already produce it, comes from memmodel.SCStates, the SC
+//     instance of the state engine the system model also runs: a
+//     memoized DFS over (events run, memory, registers) states of the
+//     quantum-equivalent program with thread-symmetry-canonical memo
+//     keys. Its decision/propagation/conflict/learned counters map onto
+//     DPLL vocabulary (branching states, forced moves, memo hits,
+//     memoized states).
 //
 // The backend is verdict-only and exact: it reports precisely the
 // race pairs and SC results the enumerator would, byte-identical after
@@ -160,25 +162,21 @@ func check(p0 *litmus.Program, m core.Model, opts memmodel.CheckOptions) (*memmo
 		}
 	}
 
-	// Phase 3: memoized state search for the SC result set.
-	var decisions, propagations, conflicts, learned int64
+	// Phase 3: the state engine's SC instance for the SC result set.
+	var st memmodel.StateCounts
 	if !exhaustive {
 		ss := sp.Child("solve.states")
-		ds := newStateSearch(p, opts, cs.classThreads, tel)
-		ds.run()
-		ds.flush()
-		ss.SetInt("states", ds.learned)
-		ss.SetInt("memo_hits", ds.memoHits)
+		var serr error
+		scResults, st, serr = memmodel.SCStates(p, opts)
+		ss.SetInt("states", st.Learned)
+		ss.SetInt("memo_hits", st.MemoHits)
 		ss.End()
-		if ds.err != nil {
-			tel.Finish(stateForErr(ds.err))
-			return nil, ds.err
+		if serr != nil {
+			tel.Finish(stateForErr(serr))
+			return nil, serr
 		}
-		scResults = ds.results
-		decisions, propagations = ds.decisions, ds.propagations
-		conflicts, learned = ds.memoHits, ds.learned
 	}
-	tel.AddSolve(decisions, propagations+cs.nImplied, conflicts+cs.nRefuted, learned)
+	tel.AddSolve(st.Decisions, st.Propagations+cs.nImplied, st.MemoHits+cs.nRefuted, st.Learned)
 
 	v := &memmodel.Verdict{
 		Model: m, Legal: true,
@@ -325,19 +323,7 @@ func buildConstraints(an *memmodel.Analyzer, p *litmus.Program, m core.Model) *c
 
 	// Thread-symmetry classes by semantic op-list identity (constants,
 	// guards and dependencies included, not just Op.String's summary).
-	sig := map[string]int{}
-	cs.classOf = make([]int, nT)
-	for t := range p.Threads {
-		key := memmodel.SymmetryKey(p.Threads[t])
-		ci, ok := sig[key]
-		if !ok {
-			ci = len(cs.classThreads)
-			sig[key] = ci
-			cs.classThreads = append(cs.classThreads, nil)
-		}
-		cs.classOf[t] = ci
-		cs.classThreads[ci] = append(cs.classThreads[ci], t)
-	}
+	cs.classOf, cs.classThreads = memmodel.SymmetryClasses(p)
 
 	// Static event-set masks and relations, mirroring BuildRelations'
 	// per-execution construction without the Present mask.

@@ -2,9 +2,8 @@ package memmodel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
-	"time"
 
 	"rats/internal/core"
 	"rats/internal/litmus"
@@ -25,9 +24,10 @@ import (
 //
 // and reorders everything else freely. Executions are total orders
 // consistent with this preserved program order, with loads reading the
-// latest store. Comparing the reachable final states against the SC
-// states of the quantum-equivalent program validates Theorem 3.1 on
-// litmus tests.
+// latest store. The state engine (states.go) searches them as its system
+// instance; comparing the reachable final states against the SC states of
+// the quantum-equivalent program, the engine's SC instance, validates
+// Theorem 3.1 on litmus tests.
 
 // PreservedPO computes the preserved-program-order relation over a
 // program's events under the given model's effective labelling.
@@ -119,10 +119,21 @@ func SystemResults(p *litmus.Program, limit int) (map[string]bool, error) {
 }
 
 // SystemResultsWith is SystemResults with instrumentation: the telemetry
-// check (nil = disabled) counts completed system executions, DFS
-// transitions, and seen-state memo hits, and is marked Begin/Finish
-// around the search.
+// check (nil = disabled) counts completed system executions, moves and
+// memo hits, and is marked Begin/Finish around the search. The search is
+// the state engine's system instance, so executions that converge on one
+// state up to thread symmetry complete once.
 func SystemResultsWith(p *litmus.Program, limit int, tel *telemetry.Check) (map[string]bool, error) {
+	e, err := systemSearch(p, limit, tel)
+	if err != nil {
+		return nil, err
+	}
+	return e.results, nil
+}
+
+// systemSearch runs the system instance and returns the finished engine,
+// whose qvals hold the real values its quantum accesses took.
+func systemSearch(p *litmus.Program, limit int, tel *telemetry.Check) (*stateEngine, error) {
 	if err := p.Validate(); err != nil {
 		tel.Begin(int64(limit))
 		tel.Finish(telemetry.StateFailed)
@@ -132,154 +143,14 @@ func SystemResultsWith(p *litmus.Program, limit int, tel *telemetry.Check) (map[
 		limit = DefaultLimit
 	}
 	tel.Begin(int64(limit))
-	start := time.Now()
-	lay := layout(p)
-	ppo := PreservedPO(p)
-
-	// Per-event static info.
-	type evInfo struct {
-		thread, opIndex int
-		op              litmus.Op
-	}
-	evs := make([]evInfo, lay.n)
-	preds := make([][]int, lay.n)
-	for t, th := range p.Threads {
-		for i, op := range th.Ops {
-			id := lay.id[t][i]
-			if id < 0 {
-				continue
-			}
-			evs[id] = evInfo{thread: t, opIndex: i, op: op}
-		}
-	}
-	for i := 0; i < lay.n; i++ {
-		for j := 0; j < lay.n; j++ {
-			if ppo.Has(j, i) {
-				preds[i] = append(preds[i], j)
-			}
-		}
-	}
-
-	results := map[string]bool{}
-	mem := map[litmus.Loc]int64{}
-	locs := p.Locs()
-	for _, l := range locs {
-		mem[l] = p.Init[l]
-	}
-	regs := make([][]int64, len(p.Threads))
-	for t, th := range p.Threads {
-		regs[t] = make([]int64, th.NumRegs())
-	}
-	done := make([]bool, lay.n)
-	nDone := 0
-	count := 0
-
-	// Seen-state memoization: the search state is fully determined by
-	// (done set, memory, register files) — the preds relation is static —
-	// and nDone strictly increases along any path, so the state graph is
-	// a DAG. Once a state has been explored, every final result reachable
-	// from it is already in the results set, and revisiting it (different
-	// interleavings of commuting prefixes converge on the same state)
-	// would only re-derive them. This collapses the factorially redundant
-	// part of the search, which is what makes the exhaustive theorem
-	// fuzzer run without an execution-count escape hatch.
-	seen := map[string]bool{}
-	var keyBuf []byte
-	stateKey := func() string {
-		b := keyBuf[:0]
-		for i := 0; i < lay.n; i++ {
-			if done[i] {
-				b = append(b, '1')
-			} else {
-				b = append(b, '0')
-			}
-		}
-		for _, l := range locs {
-			b = strconv.AppendInt(b, mem[l], 10)
-			b = append(b, ',')
-		}
-		for t := range regs {
-			for _, v := range regs[t] {
-				b = strconv.AppendInt(b, v, 10)
-				b = append(b, ',')
-			}
-		}
-		keyBuf = b
-		return string(b)
-	}
-
-	var step func() error
-	step = func() error {
-		if nDone == lay.n {
-			count++
-			if count > limit {
-				return newLimitError(p.Name, "system model", limit, int64(count-1), start, tel)
-			}
-			tel.IncEnumerated()
-			results[resultKey(mem)] = true
-			return nil
-		}
-		k := stateKey()
-		if seen[k] {
-			tel.AddMemoHits(1)
-			return nil
-		}
-		seen[k] = true
-		tel.IncTransition()
-	next:
-		for i := 0; i < lay.n; i++ {
-			if done[i] {
-				continue
-			}
-			for _, pr := range preds[i] {
-				if !done[pr] {
-					continue next
-				}
-			}
-			e := evs[i]
-			op := e.op
-			if !op.GuardsHold(regs[e.thread]) {
-				// Skipped guarded op: executes as a no-op.
-				done[i] = true
-				nDone++
-				if err := step(); err != nil {
-					return err
-				}
-				done[i] = false
-				nDone--
-				continue
-			}
-			oldMem := mem[op.Loc]
-			var oldReg int64
-			if op.Dst != litmus.NoReg {
-				oldReg = regs[e.thread][op.Dst]
-				regs[e.thread][op.Dst] = oldMem
-			}
-			if op.Writes() {
-				operand := op.Operand.Eval(regs[e.thread])
-				expected := op.Expected.Eval(regs[e.thread])
-				mem[op.Loc] = op.AOp.Apply(oldMem, operand, expected)
-			}
-			done[i] = true
-			nDone++
-			if err := step(); err != nil {
-				return err
-			}
-			done[i] = false
-			nDone--
-			mem[op.Loc] = oldMem
-			if op.Dst != litmus.NoReg {
-				regs[e.thread][op.Dst] = oldReg
-			}
-		}
-		return nil
-	}
-	if err := step(); err != nil {
+	e := newStateEngine(p, PreservedPO(p), nil)
+	e.limit, e.tel, e.phase = int64(limit), tel, "system model"
+	if _, _, err := e.search(); err != nil {
 		tel.Finish(telemetry.StateLimit)
 		return nil, err
 	}
 	tel.Finish(telemetry.StateDone)
-	return results, nil
+	return e, nil
 }
 
 // TheoremReport is the outcome of validating Theorem 3.1 on one program:
@@ -319,21 +190,48 @@ func ValidateTheoremWith(p *litmus.Program, opts CheckOptions, sysTel *telemetry
 // already computed DRFrlx verdict of p (from CheckProgramWith in any
 // mode), so a caller that checked p under DRFrlx anyway pays only for
 // the system-model search. limit bounds that search (0 = DefaultLimit)
-// and sysTel instruments it.
+// and sysTel instruments it. If a system result is missing from the
+// verdict's SC set while the system's quantum accesses took values
+// outside QuantumDomain(p), the report compares against the SC set of
+// p with the domain widened by those values.
 func ValidateTheoremVerdict(p *litmus.Program, verdict *Verdict, limit int, sysTel *telemetry.Check) (*TheoremReport, error) {
 	if verdict.Model != core.DRFrlx {
 		return nil, fmt.Errorf("memmodel: Theorem 3.1 needs the DRFrlx verdict of %s, got %s", p.Name, verdict.Model)
 	}
-	sys, err := SystemResultsWith(p.Under(core.DRFrlx), limit, sysTel)
+	q := p.Under(core.DRFrlx)
+	sys, err := systemSearch(q, limit, sysTel)
 	if err != nil {
 		return nil, err
 	}
+	sc := verdict.SCResults
+	for k := range sys.results {
+		if sc[k] {
+			continue
+		}
+		// In the quantum-equivalent program a quantum access may read or
+		// write any value, but the SC side drew them from a finite
+		// domain. A larger domain only adds SC results.
+		dom := QuantumDomain(q)
+		n := len(dom)
+		for v := range sys.qvals {
+			if !slices.Contains(dom[:n], v) {
+				dom = append(dom, v)
+			}
+		}
+		if len(dom) > n {
+			q.QuantumDomain = dom
+			if sc, _, err = SCStates(q, CheckOptions{}); err != nil {
+				return nil, err
+			}
+		}
+		break
+	}
 	rep := &TheoremReport{
 		Prog: p.Name, Legal: verdict.Legal, SystemSC: true,
-		SystemCount: len(sys), SCCount: len(verdict.SCResults),
+		SystemCount: len(sys.results), SCCount: len(sc),
 	}
-	for k := range sys {
-		if !verdict.SCResults[k] {
+	for k := range sys.results {
+		if !sc[k] {
 			rep.SystemSC = false
 			rep.NonSCResults = append(rep.NonSCResults, k)
 		}

@@ -1,7 +1,7 @@
 // Package telemetry is the semantics engine's instrumentation layer: an
 // atomic-counter block per program check, threaded through the POR
-// enumerator, the streaming race-classification pipeline, and the system
-// model, with the same zero-overhead-when-disabled contract the probe
+// enumerator, the streaming race-classification pipeline, and the state
+// engine, with the same zero-overhead-when-disabled contract the probe
 // hub gives the timing simulator. A nil *Check (the disabled mode) folds
 // every counter method into one predictable nil-check branch, so the hot
 // enumeration loops pay nothing when nobody is watching; an enabled
@@ -80,9 +80,9 @@ type Check struct {
 	elapsedNS atomic.Int64 // frozen by Finish; 0 while running
 
 	enumerated  atomic.Int64 // executions recorded by the enumerator
-	transitions atomic.Int64 // DFS transitions taken (execOne calls)
+	transitions atomic.Int64 // DFS transitions taken (enumerator and state-engine moves)
 	sleepSkips  atomic.Int64 // transitions suppressed by the sleep set
-	memoHits    atomic.Int64 // system-model seen-state memo hits
+	memoHits    atomic.Int64 // state-engine moves into memoized states
 	analyzed    atomic.Int64 // executions classified by Analyze workers
 	recycled    atomic.Int64 // executions refilled from Recycle
 	allocated   atomic.Int64 // executions freshly allocated
@@ -241,20 +241,6 @@ func (c *Check) IncEnumerated() {
 	}
 }
 
-// IncTransition counts one DFS transition taken.
-func (c *Check) IncTransition() {
-	if c != nil {
-		c.transitions.Add(1)
-	}
-}
-
-// IncSleepSkip counts one transition suppressed by the sleep set.
-func (c *Check) IncSleepSkip() {
-	if c != nil {
-		c.sleepSkips.Add(1)
-	}
-}
-
 // AddTransitions folds in a worker-local transition count. The
 // enumerator's hot loops count into plain per-clone fields and flush
 // once per branch, so the per-transition cost is a register increment
@@ -272,7 +258,8 @@ func (c *Check) AddSleepSkips(n int64) {
 	}
 }
 
-// AddMemoHits counts system-model seen-state memo hits.
+// AddMemoHits counts state-engine memo hits: moves into an already
+// memoized state, in the system model or the solver's phase 3.
 func (c *Check) AddMemoHits(n int64) {
 	if c != nil {
 		c.memoHits.Add(n)

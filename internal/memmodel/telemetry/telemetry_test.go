@@ -18,8 +18,8 @@ func TestNilSafety(t *testing.T) {
 	var c *telemetry.Check
 	c.Begin(100)
 	c.IncEnumerated()
-	c.IncTransition()
-	c.IncSleepSkip()
+	c.AddTransitions(1)
+	c.AddSleepSkips(1)
 	c.AddMemoHits(3)
 	c.IncRecycled()
 	c.IncAllocated()
@@ -86,12 +86,8 @@ func TestCheckLifecycleAndCounters(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		c.IncEnumerated()
 	}
-	for i := 0; i < 60; i++ {
-		c.IncTransition()
-	}
-	for i := 0; i < 40; i++ {
-		c.IncSleepSkip()
-	}
+	c.AddTransitions(60)
+	c.AddSleepSkips(40)
 	c.AddMemoHits(7)
 	c.IncRecycled()
 	c.IncAllocated()
@@ -212,7 +208,7 @@ func TestConcurrentCounters(t *testing.T) {
 			w := c.Worker()
 			for i := 0; i < per; i++ {
 				c.IncEnumerated()
-				c.IncTransition()
+				c.AddTransitions(1)
 				w.IncAnalyzed()
 				_ = c.Snapshot()
 			}

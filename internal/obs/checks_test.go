@@ -45,12 +45,8 @@ func checksRegistry() *telemetry.Registry {
 	for i := 0; i < 24; i++ {
 		c1.IncEnumerated()
 	}
-	for i := 0; i < 96; i++ {
-		c1.IncTransition()
-	}
-	for i := 0; i < 32; i++ {
-		c1.IncSleepSkip()
-	}
+	c1.AddTransitions(96)
+	c1.AddSleepSkips(32)
 	w := c1.Worker()
 	for i := 0; i < 24; i++ {
 		w.IncAnalyzed()
@@ -69,9 +65,7 @@ func checksRegistry() *telemetry.Registry {
 	for i := 0; i < 100; i++ {
 		c2.IncEnumerated()
 	}
-	for i := 0; i < 400; i++ {
-		c2.IncTransition()
-	}
+	c2.AddTransitions(400)
 	c2.AddMemoHits(12)
 	c2.Finish(telemetry.StateLimit)
 	return reg
