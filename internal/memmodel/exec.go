@@ -148,9 +148,10 @@ type EnumOptions struct {
 	// context.DeadlineExceeded) distinguishes deadlines from disconnects.
 	Ctx context.Context
 	// TransitionLimit, when positive, bounds the total DFS transitions
-	// taken across all workers (a work budget orthogonal to Limit's
+	// walked across all workers (a work budget orthogonal to Limit's
 	// execution budget: it also caps searches whose interleavings mostly
-	// dead-end before recording). Enforced in checkStride-sized strides,
+	// dead-end before recording, and a weighted op's skipped load choices
+	// take none of it). Enforced in checkStride-sized strides,
 	// so the real cutoff overshoots by at most checkStride transitions
 	// per worker. Tripping it returns a *LimitError with Phase
 	// "transitions".
@@ -159,7 +160,11 @@ type EnumOptions struct {
 	// memo, when non-nil, is the checker's order memo, consulted at every
 	// leaf after the execution is counted: an execution whose order the
 	// memo has already seen is counted into the memo's shard and never
-	// filled or delivered. The memo is unsynchronized, so Enumerate
+	// filled or delivered. It also weights the walk: a quantum access
+	// that reads into no register (opInfo.weighted) takes only its first
+	// load choice, and every leaf below it stands for one execution per
+	// domain value, because the other choices would walk the same subtree
+	// and repeat its orders. The memo is unsynchronized, so Enumerate
 	// rejects it on the first-step fan-out (neither Visit nor Naive set).
 	memo *orderMemo
 }
@@ -328,9 +333,14 @@ type opInfo struct {
 	// quantum folds opts.Quantum into the op's class: the op takes
 	// quantum value choices.
 	quantum bool
-	dst     litmus.Reg
-	loc     int // location index, -1 for branches
-	id      int // event ID, -1 for branches
+	// weighted marks a quantum read with no destination register under
+	// the order memo: its loaded value reaches only Event.Loaded, so
+	// every load choice walks the same subtree, and exec walks the first
+	// one for all of them.
+	weighted bool
+	dst      litmus.Reg
+	loc      int // location index, -1 for branches
+	id       int // event ID, -1 for branches
 }
 
 // newOpInfo summarizes op at location index loc with event ID id.
@@ -402,6 +412,10 @@ type enumerator struct {
 	// per branch. clone starts fresh shards per worker.
 	transitions int64
 	sleepSkips  int64
+	// weight is how many executions a leaf reached by the current path
+	// stands for: the product of the domain sizes of the weighted ops on
+	// it (1 on walks without the order memo).
+	weight int64
 
 	// ctx and transLeft implement request-scoped cancellation and the
 	// transition budget: every checkEvery DFS nodes the worker polls the
@@ -428,6 +442,7 @@ func newEnumerator(p *litmus.Program, opts EnumOptions) *enumerator {
 		ctx:    opts.Ctx,
 		pc:     make([]int, len(p.Threads)),
 		order:  make([]int, 0, 16),
+		weight: 1,
 	}
 	if opts.TransitionLimit > 0 {
 		e.transLeft = new(atomic.Int64)
@@ -458,7 +473,9 @@ func newEnumerator(p *litmus.Program, opts EnumOptions) *enumerator {
 		e.info[t] = make([]opInfo, len(th.Ops))
 		for i := range th.Ops {
 			op := &th.Ops[i]
-			e.info[t][i] = newOpInfo(op, opts.Quantum && op.Class == core.Quantum, e.lay.locID[t][i], e.lay.id[t][i])
+			inf := newOpInfo(op, opts.Quantum && op.Class == core.Quantum, e.lay.locID[t][i], e.lay.id[t][i])
+			inf.weighted = opts.memo != nil && inf.quantum && inf.reads && inf.dst == litmus.NoReg
+			e.info[t][i] = inf
 			if id := e.lay.id[t][i]; id >= 0 {
 				e.proto[id] = Event{ID: id, Thread: t, OpIndex: i, Op: *op, TPos: -1}
 			}
@@ -474,7 +491,7 @@ func (e *enumerator) clone() *enumerator {
 	c := &enumerator{
 		prog: e.prog, lay: e.lay, opts: e.opts, domain: e.domain,
 		por: e.por, count: e.count, stop: e.stop,
-		tel: e.tel, start: e.start,
+		tel: e.tel, start: e.start, weight: e.weight,
 		ctx: e.ctx, transLeft: e.transLeft, checkEvery: e.checkEvery,
 		proto:   e.proto,
 		info:    e.info,
@@ -799,9 +816,16 @@ func (e *enumerator) step() {
 }
 
 // exec runs thread t's current op with all applicable value choices,
-// recursing after each.
+// recursing after each. A weighted op walks only its first load choice
+// and multiplies the path's weight by the number of choices it stands
+// for.
 func (e *enumerator) exec(t int, inf *opInfo) {
 	loadChoices, storeChoices := choices(inf, e.domain)
+	weight := e.weight
+	if inf.weighted {
+		e.weight = weigh(weight, len(loadChoices), int64(e.opts.Limit))
+		loadChoices = loadChoices[:1]
+	}
 	for _, lv := range loadChoices {
 		for _, sv := range storeChoices {
 			e.execOne(t, inf, lv, sv)
@@ -810,6 +834,18 @@ func (e *enumerator) exec(t int, inf *opInfo) {
 			}
 		}
 	}
+	e.weight = weight
+}
+
+// weigh multiplies a path weight by a weighted op's n load choices. It
+// saturates just past limit, so a program with many weighted ops cannot
+// overflow the weight: a leaf that heavy trips the limit at its exact
+// weight too.
+func weigh(w int64, n int, limit int64) int64 {
+	if w > limit/int64(n) {
+		return limit + 1
+	}
+	return w * int64(n)
 }
 
 // oneChoice is the value-choice list of non-quantum accesses (the value
@@ -886,24 +922,31 @@ func (e *enumerator) execOne(t int, inf *opInfo, qload, qstore int64) {
 }
 
 // record snapshots the completed execution and either streams it to the
-// Visit callback or appends it to the materialized list. The counter is
-// shared across the parallel workers, so Limit bounds the total across
-// all branches. An execution whose order the memo has already seen is
-// counted there instead: its races are those of the order's first
-// execution, so only its SC result is needed.
+// Visit callback or appends it to the materialized list. The leaf counts
+// as weight executions. The counter is shared across the parallel
+// workers, so Limit bounds the total across all branches. An execution
+// whose order the memo has already seen is counted there instead: its
+// races are those of the order's first execution, so only its SC result
+// is needed.
 func (e *enumerator) record() {
 	if e.stop.Load() {
 		return
 	}
-	if n := e.count.Add(1); n > int64(e.opts.Limit) {
+	limit := int64(e.opts.Limit)
+	if n := e.count.Add(e.weight); n > limit {
+		// A weighted leaf that crosses the limit counts up to it, so the
+		// trip reports the same executions as an unweighted walk.
+		before := n - e.weight
+		at := max(before, limit)
+		e.tel.AddEnumerated(at - before)
 		e.flushTel() // fold this worker's shard into the trip-time snapshot
-		e.err = newLimitError(e.prog.Name, "enumeration", e.opts.Limit, n-1, e.start, e.tel)
+		e.err = newLimitError(e.prog.Name, "enumeration", e.opts.Limit, at, e.start, e.tel)
 		e.stop.Store(true)
 		return
 	}
-	e.tel.IncEnumerated()
+	e.tel.AddEnumerated(e.weight)
 	key := e.keys.of(e.lay.locs, e.mem)
-	if e.opts.memo.repeat(e.order, key) {
+	if e.opts.memo.repeat(e.order, key, e.weight) {
 		return
 	}
 	var ex *Execution

@@ -72,13 +72,14 @@ func TestOrderDeterminesRaces(t *testing.T) {
 
 // randomQuantumProgram generates small random programs for the
 // differential oracles: every class including Quantum, a quantum domain
-// of three values, three locations, loads, stores, increments and CAS,
-// data and address dependencies, branches, and ops guarded on an earlier
-// load's value, so quantum value choices both repeat orders and change
-// which events are present. A thread after the first copies an earlier
-// one with chance one in three, at most once per program, so
-// thread-symmetry classes form without three identical threads piling
-// up on one location.
+// of three values, three locations, loads, stores, increments (half of
+// them discarding the old value, which the checker walks weighted when
+// quantum) and CAS, data and address dependencies, branches, and ops
+// guarded on an earlier load's value, so quantum value choices both
+// repeat orders and change which events are present. A thread after the
+// first copies an earlier one with chance one in three, at most once per
+// program, so thread-symmetry classes form without three identical
+// threads piling up on one location.
 func randomQuantumProgram(seed int64) *litmus.Program {
 	rng := rand.New(rand.NewSource(seed))
 	classes := core.Classes()
@@ -112,6 +113,8 @@ func randomQuantumProgram(seed int64) *litmus.Program {
 				last = th.Load(loc, c)
 			case k == 1 || k == 4 && last == litmus.NoReg:
 				th.Store(loc, int64(rng.Intn(3)), c)
+			case k == 2 && rng.Intn(2) == 0:
+				th.Inc(loc, c)
 			case k == 2:
 				last = th.RMW(core.OpInc, loc, 0, c)
 			case k == 3:
@@ -136,17 +139,21 @@ func randomQuantumProgram(seed int64) *litmus.Program {
 // determinism contract past the catalog: on seeded random programs, the
 // memo-free two-phase reference and the checker agree under every model,
 // and the checks build and analyze exactly one execution per distinct
-// order.
+// order. A weighted walk (a quantum read into no register) must reach
+// the same verdict, executions and analyzed count as the reference; its
+// telemetry record may differ only by fewer transitions and no more
+// sleep-set skips.
 func TestStreamingMatchesMaterializeRandom(t *testing.T) {
 	seeds := 300
 	if testing.Short() {
 		seeds = 50
 	}
-	memoized := 0
+	memoized, weighted := 0, 0
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		p := randomQuantumProgram(seed)
 		for _, m := range []core.Model{core.DRF0, core.DRF1, core.DRFrlx} {
-			want, err := checkTwoPhase(p, m, nil)
+			ref := telemetry.NewCheck(p.Name, m.String())
+			want, err := checkTwoPhase(p, m, ref)
 			if err != nil {
 				t.Fatalf("seed %d/%s two-phase: %v", seed, m, err)
 			}
@@ -172,26 +179,48 @@ func TestStreamingMatchesMaterializeRandom(t *testing.T) {
 				t.Errorf("seed %d/%s: %d recycled + %d allocated executions, want one per analysis (%d)",
 					seed, m, s.Recycled, s.Allocated, s.Analyzed)
 			}
+			// The weighted walk is a subtree of the reference's: it differs
+			// only in the transitions and sleep-set skips it never took.
+			rec, wantRec := c.Record(), ref.Record()
+			if rec.Transitions < wantRec.Transitions {
+				if m == core.DRFrlx {
+					weighted++
+				}
+				if rec.SleepSkips > wantRec.SleepSkips {
+					t.Errorf("seed %d/%s: weighted walk has %d sleep-set skips, more than the reference's %d",
+						seed, m, rec.SleepSkips, wantRec.SleepSkips)
+				}
+				rec.Transitions, rec.SleepSkips, rec.PrunedPct = wantRec.Transitions, wantRec.SleepSkips, wantRec.PrunedPct
+			}
+			if rec != wantRec {
+				t.Errorf("seed %d/%s: record = %+v, want %+v", seed, m, c.Record(), wantRec)
+			}
 		}
 	}
-	// Guard against a generator that stops exercising the memo.
+	// Guard against a generator that stops exercising the memo or the
+	// weighted walk.
 	if memoized < seeds/4 {
 		t.Errorf("only %d of %d seed/model checks repeat an order", memoized, 3*seeds)
+	}
+	if weighted < seeds/30 {
+		t.Errorf("only %d of %d seeds walk a weighted path under DRFrlx", weighted, seeds)
 	}
 }
 
 // TestOrderMemoCap: the memo stops growing at orderMemoCap entries, so a
 // check's memory stays bounded; orders beyond the cap are analyzed every
 // time they recur, and memoized ones are still counted without analysis.
-// It drives the enumerator's leaf hook directly: a miss is an execution
-// the enumerator would deliver for analysis.
+// It drives the enumerator's leaf hook directly with weighted leaves: a
+// miss is an execution the enumerator would deliver for analysis, and
+// the memo's shard counts every other execution the leaves stand for.
 func TestOrderMemoCap(t *testing.T) {
 	m := &orderMemo{seen: map[string]struct{}{}, skipped: newPartialVerdict()}
+	const weight = 3
 	analyzed := 0
 	n := orderMemoCap + 10
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < n; i++ {
-			if !m.repeat([]int{i / 256, i % 256}, "X=0;") {
+			if !m.repeat([]int{i / 256, i % 256}, "X=0;", weight) {
 				analyzed++
 			}
 		}
@@ -202,8 +231,8 @@ func TestOrderMemoCap(t *testing.T) {
 	if want := n + 10; analyzed != want {
 		t.Errorf("analyzed %d executions, want %d (every order once, the 10 past the cap twice)", analyzed, want)
 	}
-	if m.skipped.execs != orderMemoCap {
-		t.Errorf("skipped %d executions, want %d", m.skipped.execs, orderMemoCap)
+	if want := 2*n*weight - analyzed; m.skipped.execs != want {
+		t.Errorf("skipped %d executions, want %d (every execution not analyzed)", m.skipped.execs, want)
 	}
 	if !m.skipped.scResults["X=0;"] {
 		t.Errorf("skipped executions lost their SC result: %v", m.skipped.scResults)

@@ -232,7 +232,9 @@ type Verdict struct {
 	Races map[RaceKind][]string
 	// Execs is the number of SC executions checked (an execution whose
 	// order was already analyzed counts without being built or analyzed
-	// again).
+	// again, and one walked leaf counts once per load choice of the
+	// quantum accesses on its path that read into no register: those
+	// choices reach the same state, so the checker walks only the first).
 	// The enumerator applies partial-order reduction, so this counts one
 	// representative per trace of commuting accesses, not every
 	// interleaving.
@@ -279,11 +281,12 @@ type CheckOptions struct {
 	// Limit overrides the enumerator's execution limit; 0 means the
 	// enumerator default.
 	Limit int
-	// TransitionLimit, when positive, bounds the total DFS transitions of
-	// the check (EnumOptions.TransitionLimit): a work budget that also
-	// caps searches whose interleavings mostly dead-end before recording
-	// an execution. Tripping it returns a *LimitError with Phase
-	// "transitions".
+	// TransitionLimit, when positive, bounds the total DFS transitions
+	// the check walks (EnumOptions.TransitionLimit): a work budget that
+	// also caps searches whose interleavings mostly dead-end before
+	// recording an execution. Load choices the checker counts without
+	// walking them (see Verdict.Execs) take none of it. Tripping it
+	// returns a *LimitError with Phase "transitions".
 	TransitionLimit int64
 	// Ctx, when non-nil, cancels the check: deadlines and client
 	// disconnects stop the enumeration promptly and surface as a
@@ -419,10 +422,12 @@ func newOrderMemo(p *litmus.Program) *orderMemo {
 }
 
 // repeat reports whether an execution with this total order was already
-// analyzed in this check; if so it counts the execution and its SC result
-// (key) into the memo's shard. A new order is remembered while the memo
-// is under its cap. A nil memo reports no repeats.
-func (m *orderMemo) repeat(order []int, key string) bool {
+// analyzed in this check; if so it counts the leaf's weight executions
+// (EnumOptions.memo) and their SC result (key) into the memo's shard. A
+// new order is remembered while the memo is under its cap, and all but
+// the one execution left to analyze go to the shard. A nil memo reports
+// no repeats.
+func (m *orderMemo) repeat(order []int, key string, weight int64) bool {
 	if m == nil {
 		return false
 	}
@@ -431,11 +436,14 @@ func (m *orderMemo) repeat(order []int, key string) bool {
 		m.key = binary.AppendUvarint(m.key, uint64(id))
 	}
 	if _, ok := m.seen[string(m.key)]; ok {
-		m.skipped.count(key)
+		m.skipped.count(key, int(weight))
 		return true
 	}
 	if len(m.seen) < orderMemoCap {
 		m.seen[string(m.key)] = struct{}{}
+	}
+	if weight > 1 {
+		m.skipped.count(key, int(weight-1))
 	}
 	return false
 }
@@ -478,16 +486,16 @@ func newPartialVerdict() *partialVerdict {
 	return &partialVerdict{scResults: map[string]bool{}}
 }
 
-// count adds the part of an execution's contribution that needs no
-// analysis: the execution itself and its SC result key.
-func (pv *partialVerdict) count(key string) {
-	pv.execs++
+// count adds the part of n executions' contribution that needs no
+// analysis: the executions themselves and their SC result key.
+func (pv *partialVerdict) count(key string, n int) {
+	pv.execs += n
 	pv.scResults[key] = true
 }
 
 func (pv *partialVerdict) add(a *Analysis, kinds []RaceKind) {
 	ex := a.Exec
-	pv.count(ex.ResultKey())
+	pv.count(ex.ResultKey(), 1)
 	for _, k := range kinds {
 		for _, pr := range a.Races[k] {
 			desc, ok := pv.descCache[pr]

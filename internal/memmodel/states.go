@@ -328,7 +328,7 @@ func (e *stateEngine) leaf() {
 			e.err = newLimitError(e.p.Name, e.phase, int(e.limit), e.limit, e.start, e.tel)
 			return
 		}
-		e.tel.IncEnumerated()
+		e.tel.AddEnumerated(1)
 	}
 	e.results[e.keys.of(e.lay.locs, e.mem)] = true
 }

@@ -12,9 +12,9 @@
 // SC results, budget fraction — are pure functions of the explored
 // search tree, identical across worker counts and runs; Record exposes
 // exactly that subset for byte-identical JSONL telemetry artifacts.
-// Scheduling-dependent ones — per-worker analyzed counts, idle waits,
-// pool recycle rates, union-merge input sizes — live only in Snapshot,
-// the live /checks view.
+// Scheduling-dependent ones — per-worker analyzed counts, pool recycle
+// rates, union-merge input sizes — live only in Snapshot, the live
+// /checks view.
 package telemetry
 
 import (
@@ -80,7 +80,7 @@ type Check struct {
 	elapsedNS atomic.Int64 // frozen by Finish; 0 while running
 
 	enumerated  atomic.Int64 // executions recorded by the enumerator
-	transitions atomic.Int64 // DFS transitions taken (enumerator and state-engine moves)
+	transitions atomic.Int64 // DFS transitions walked (enumerator and state-engine moves; see AddEnumerated)
 	sleepSkips  atomic.Int64 // transitions suppressed by the sleep set
 	memoHits    atomic.Int64 // state-engine moves into memoized states
 	analyzed    atomic.Int64 // executions classified by Analyze workers
@@ -234,10 +234,13 @@ func (c *Check) State() CheckState {
 	return CheckState(c.state.Load())
 }
 
-// IncEnumerated counts one recorded execution.
-func (c *Check) IncEnumerated() {
-	if c != nil {
-		c.enumerated.Add(1)
+// AddEnumerated counts n recorded executions. The enumerator passes each
+// walked leaf's weight: a quantum access that reads into no register
+// walks one load choice for all of them, so a check can count more
+// executions than it walks transitions. The state engine passes 1.
+func (c *Check) AddEnumerated(n int64) {
+	if c != nil && n != 0 {
+		c.enumerated.Add(n)
 	}
 }
 
@@ -331,7 +334,6 @@ func (c *Check) Worker() *Worker {
 type Worker struct {
 	c        *Check
 	analyzed atomic.Int64
-	idle     atomic.Int64
 }
 
 // IncAnalyzed counts one execution classified by this worker.
@@ -342,17 +344,12 @@ func (w *Worker) IncAnalyzed() {
 	}
 }
 
-// IncIdle counts one blocking wait on an empty execution channel (the
-// worker outpaced the enumerator).
-func (w *Worker) IncIdle() {
-	if w != nil {
-		w.idle.Add(1)
-	}
-}
-
 // WorkerSnapshot is one worker's share of the live snapshot.
 type WorkerSnapshot struct {
-	Analyzed  int64 `json:"analyzed"`
+	Analyzed int64 `json:"analyzed"`
+	// IdleWaits is always 0: a check analyzes inline on the enumerating
+	// goroutine, so no worker waits for executions. It stays for readers
+	// of the /checks schema.
 	IdleWaits int64 `json:"idle_waits"`
 }
 
@@ -504,8 +501,7 @@ func (c *Check) Snapshot() Snapshot {
 	c.mu.Lock()
 	for _, w := range c.workers {
 		s.Workers = append(s.Workers, WorkerSnapshot{
-			Analyzed:  w.analyzed.Load(),
-			IdleWaits: w.idle.Load(),
+			Analyzed: w.analyzed.Load(),
 		})
 	}
 	c.mu.Unlock()

@@ -17,7 +17,7 @@ import (
 func TestNilSafety(t *testing.T) {
 	var c *telemetry.Check
 	c.Begin(100)
-	c.IncEnumerated()
+	c.AddEnumerated(1)
 	c.AddTransitions(1)
 	c.AddSleepSkips(1)
 	c.AddMemoHits(3)
@@ -32,7 +32,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil Check.Worker() = %v, want nil", w)
 	}
 	w.IncAnalyzed()
-	w.IncIdle()
 	if got := c.Record(); got != (telemetry.Record{}) {
 		t.Errorf("nil Record = %+v, want zero", got)
 	}
@@ -83,9 +82,8 @@ func TestCheckLifecycleAndCounters(t *testing.T) {
 	if c.State() != telemetry.StateRunning {
 		t.Fatalf("state after Begin = %v", c.State())
 	}
-	for i := 0; i < 15; i++ {
-		c.IncEnumerated()
-	}
+	c.AddEnumerated(12)
+	c.AddEnumerated(3)
 	c.AddTransitions(60)
 	c.AddSleepSkips(40)
 	c.AddMemoHits(7)
@@ -96,7 +94,6 @@ func TestCheckLifecycleAndCounters(t *testing.T) {
 	w0.IncAnalyzed()
 	w0.IncAnalyzed()
 	w1.IncAnalyzed()
-	w1.IncIdle()
 	c.SetUnion(4, 9, 2)
 	c.Finish(telemetry.StateDone)
 	// Second Finish must not overwrite the terminal state.
@@ -117,7 +114,7 @@ func TestCheckLifecycleAndCounters(t *testing.T) {
 	if s.Analyzed != 3 || s.Recycled != 1 || s.Allocated != 2 || s.MergedRaces != 9 {
 		t.Errorf("snapshot scheduling counters = %+v", s)
 	}
-	if len(s.Workers) != 2 || s.Workers[0].Analyzed != 2 || s.Workers[1].IdleWaits != 1 {
+	if len(s.Workers) != 2 || s.Workers[0].Analyzed != 2 || s.Workers[1].Analyzed != 1 {
 		t.Errorf("worker snapshots = %+v", s.Workers)
 	}
 	if s.ElapsedMs <= 0 {
@@ -154,7 +151,7 @@ func TestRegistryOrderAndRecords(t *testing.T) {
 	a1 := r.NewCheck("A", "DRF0")
 	for _, c := range []*telemetry.Check{b, a2, a1} {
 		c.Begin(10)
-		c.IncEnumerated()
+		c.AddEnumerated(1)
 		c.Finish(telemetry.StateDone)
 	}
 	recs := r.Records()
@@ -207,7 +204,7 @@ func TestConcurrentCounters(t *testing.T) {
 			defer wg.Done()
 			w := c.Worker()
 			for i := 0; i < per; i++ {
-				c.IncEnumerated()
+				c.AddEnumerated(1)
 				c.AddTransitions(1)
 				w.IncAnalyzed()
 				_ = c.Snapshot()

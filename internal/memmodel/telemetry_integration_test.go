@@ -15,19 +15,22 @@ import (
 // analyzed (the order memo counts the repeats the quantum transformation
 // makes at the enumerator's leaf), and the merge sizes match the
 // verdict's race/SC sets. RefCounter and RefCounterTwo pin the memo by
-// exact count.
+// exact count, and their weighted walks (each thread's discarded quantum
+// increment takes one load choice for all three) by the transitions
+// walked, which are fewer than the executions they count.
 func TestCheckTelemetryCounts(t *testing.T) {
 	for _, tc := range []struct {
 		prog *litmus.Program
 		// execs and orders, when set, pin the enumeration and the
-		// distinct-order count exactly.
-		execs, orders int64
+		// distinct-order count exactly; transitions, when set, pins the
+		// weighted walk.
+		execs, orders, transitions int64
 	}{
 		{prog: litmus.IRIW()},
 		{prog: litmus.WorkQueue()},
 		{prog: litmus.MPData()},
-		{prog: litmus.RefCounter(), execs: 43740, orders: 30},
-		{prog: litmus.RefCounterTwo(), execs: 19683, orders: 12},
+		{prog: litmus.RefCounter(), execs: 43740, orders: 30, transitions: 9006},
+		{prog: litmus.RefCounterTwo(), execs: 19683, orders: 12, transitions: 4407},
 	} {
 		prog := tc.prog
 		execs, orders := orderStats(t, prog, core.DRFrlx)
@@ -54,7 +57,11 @@ func TestCheckTelemetryCounts(t *testing.T) {
 			t.Errorf("%s: %d recycled + %d allocated executions, want one per analysis (%d): memo hits must not be built",
 				prog.Name, s.Recycled, s.Allocated, s.Analyzed)
 		}
-		if s.Transitions < s.Executions {
+		if tc.transitions != 0 {
+			if s.Transitions != tc.transitions {
+				t.Errorf("%s: transitions = %d, want the weighted walk's %d", prog.Name, s.Transitions, tc.transitions)
+			}
+		} else if s.Transitions < s.Executions {
 			t.Errorf("%s: transitions = %d < executions = %d", prog.Name, s.Transitions, s.Executions)
 		}
 		var distinct int
@@ -78,7 +85,16 @@ func TestCheckTelemetryCounts(t *testing.T) {
 // reference's — it is a function of the explored search tree, not of
 // which walk explored it (the first-step fan-out or the streaming
 // walk), nor of how many executions the order memo let skip analysis.
+// The exception is the catalog's weighted walks, which leave out the
+// subtrees of all but the first load choice of a quantum read into no
+// register: their transitions and sleep-set skips are pinned here and
+// must be below the reference's.
 func TestCheckTelemetryDeterministic(t *testing.T) {
+	weighted := map[string][2]int64{ // DRFrlx transitions, sleep skips
+		"SplitCounter":  {238, 72},
+		"RefCounter":    {9006, 846},
+		"RefCounterTwo": {4407, 903},
+	}
 	for _, tc := range litmus.Suite() {
 		for _, m := range []core.Model{core.DRF0, core.DRF1, core.DRFrlx} {
 			ref := telemetry.NewCheck(tc.Prog.Name, m.String())
@@ -89,8 +105,17 @@ func TestCheckTelemetryDeterministic(t *testing.T) {
 			if _, err := CheckProgramWith(tc.Prog, m, CheckOptions{Telemetry: c}); err != nil {
 				t.Fatalf("%s/%s: %v", tc.Prog.Name, m, err)
 			}
-			if got, want := c.Record(), ref.Record(); got != want {
-				t.Errorf("%s/%s: record = %+v, want %+v", tc.Prog.Name, m, got, want)
+			got, want := c.Record(), ref.Record()
+			if w, ok := weighted[tc.Prog.Name]; ok && m == core.DRFrlx {
+				if got.Transitions != w[0] || got.SleepSkips != w[1] ||
+					w[0] >= want.Transitions || w[1] >= want.SleepSkips {
+					t.Errorf("%s/%s: %d transitions and %d sleep skips, want %d and %d, below the reference's %d and %d",
+						tc.Prog.Name, m, got.Transitions, got.SleepSkips, w[0], w[1], want.Transitions, want.SleepSkips)
+				}
+				got.Transitions, got.SleepSkips, got.PrunedPct = want.Transitions, want.SleepSkips, want.PrunedPct
+			}
+			if got != want {
+				t.Errorf("%s/%s: record = %+v, want %+v", tc.Prog.Name, m, c.Record(), want)
 			}
 		}
 	}
@@ -117,7 +142,8 @@ func TestCheckTelemetryVerdictUnchanged(t *testing.T) {
 
 // TestLimitErrorStructured: a budget trip surfaces the structured
 // *LimitError while preserving the ErrLimit sentinel, in both search
-// phases.
+// phases. RefCounter's weighted leaves (each stands for up to nine
+// executions) trip exactly at the limit, as an unweighted walk would.
 func TestLimitErrorStructured(t *testing.T) {
 	c := telemetry.NewCheck("IRIW", core.DRFrlx.String())
 	_, err := CheckProgramWith(litmus.IRIW(), core.DRFrlx, CheckOptions{Limit: 3, Telemetry: c})
@@ -138,6 +164,27 @@ func TestLimitErrorStructured(t *testing.T) {
 		t.Errorf("state = %v, want limit", c.State())
 	}
 
+	for _, limit := range []int{43740, 43739, 100} {
+		c := telemetry.NewCheck("RefCounter", core.DRFrlx.String())
+		_, err := CheckProgramWith(litmus.RefCounter(), core.DRFrlx, CheckOptions{Limit: limit, Telemetry: c})
+		if limit == 43740 {
+			if err != nil {
+				t.Errorf("RefCounter within its limit %d: %v", limit, err)
+			}
+			continue
+		}
+		le = nil
+		if !errors.As(err, &le) {
+			t.Fatalf("RefCounter limit %d: want *LimitError, got %v", limit, err)
+		}
+		if le.Phase != "enumeration" || le.Limit != limit || le.Executions != int64(limit) {
+			t.Errorf("RefCounter limit %d: limit error fields = %+v", limit, le)
+		}
+		if le.Telemetry == nil || le.Telemetry.Executions != int64(limit) {
+			t.Errorf("RefCounter limit %d: limit error telemetry = %+v", limit, le.Telemetry)
+		}
+	}
+
 	sysTel := telemetry.NewCheck("IRIW/system", "system")
 	_, err = SystemResultsWith(litmus.IRIW().Under(core.DRFrlx), 2, sysTel)
 	if !errors.Is(err, ErrLimit) {
@@ -152,6 +199,29 @@ func TestLimitErrorStructured(t *testing.T) {
 	}
 	if sysTel.State() != telemetry.StateLimit {
 		t.Errorf("system state = %v, want limit", sysTel.State())
+	}
+}
+
+// TestWeightSaturates: a path through 22 weighted ops over an 8-value
+// domain stands for 8^22 executions per leaf, more than an int64 holds.
+// The weight saturates just past the limit, so the first leaf trips it
+// with the report an unweighted walk gives at its limit-th leaf, well
+// inside the transition budget.
+func TestWeightSaturates(t *testing.T) {
+	p := litmus.New("ManyIncs")
+	p.QuantumDomain = []int64{0, 1, 2, 3, 4, 5, 6, 7}
+	th := p.Thread("t0")
+	for i := 0; i < 22; i++ {
+		th.Inc("X", core.Quantum)
+	}
+	c := telemetry.NewCheck(p.Name, core.DRFrlx.String())
+	_, err := CheckProgramWith(p, core.DRFrlx, CheckOptions{Limit: 1000, TransitionLimit: 1 << 20, Telemetry: c})
+	var le *LimitError
+	if !errors.As(err, &le) || le.Phase != "enumeration" || le.Executions != 1000 {
+		t.Fatalf("got %v, want an enumeration *LimitError at 1000 executions", err)
+	}
+	if le.Telemetry == nil || le.Telemetry.Executions != 1000 {
+		t.Errorf("limit error telemetry = %+v", le.Telemetry)
 	}
 }
 

@@ -42,9 +42,7 @@ func checksRegistry() *telemetry.Registry {
 
 	c1 := reg.NewCheck("IRIW", "DRFrlx")
 	c1.Begin(500)
-	for i := 0; i < 24; i++ {
-		c1.IncEnumerated()
-	}
+	c1.AddEnumerated(24)
 	c1.AddTransitions(96)
 	c1.AddSleepSkips(32)
 	w := c1.Worker()
@@ -62,9 +60,7 @@ func checksRegistry() *telemetry.Registry {
 
 	c2 := reg.NewCheck("WorkQueue", "DRF0")
 	c2.Begin(100)
-	for i := 0; i < 100; i++ {
-		c2.IncEnumerated()
-	}
+	c2.AddEnumerated(100)
 	c2.AddTransitions(400)
 	c2.AddMemoHits(12)
 	c2.Finish(telemetry.StateLimit)

@@ -108,7 +108,7 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	c := reg.NewCheck("Traced", "DRFrlx")
 	c.SetTraceID("feedc0dedeadbeef")
 	c.Begin(100)
-	c.IncEnumerated()
+	c.AddEnumerated(1)
 	c.Finish(telemetry.StateDone)
 
 	srv := obs.NewServer()
