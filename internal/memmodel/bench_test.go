@@ -35,11 +35,11 @@ func benchEnumerate(b *testing.B, p *litmus.Program, opts EnumOptions) {
 }
 
 // BenchmarkEnumerate compares the naive enumerator against the default
-// parallel + sleep-set-reduced one on the catalog's enumeration-heavy
-// programs. IRIW is the independence showcase (4 threads, 2 locations:
-// the reduction collapses 6300 interleavings to 15); RefCounterTwo is
-// dominated by conflicting RMWs, bounding the reduction's overhead when
-// little commutes; Flags_2 sits in between.
+// sleep-set-reduced one, both collecting into a slice, on the catalog's
+// enumeration-heavy programs. IRIW is the independence showcase (4
+// threads, 2 locations: the reduction collapses 6300 interleavings to
+// 15); RefCounterTwo is dominated by conflicting RMWs, bounding the
+// reduction's overhead when little commutes; Flags_2 sits in between.
 func BenchmarkEnumerate(b *testing.B) {
 	for _, name := range []string{"IRIW", "Flags_2", "RefCounterTwo"} {
 		p := benchProgram(b, name)
@@ -89,9 +89,9 @@ func BenchmarkAnalyze(b *testing.B) {
 // BenchmarkCheckProgram measures whole-program verdicts: "streaming" is
 // CheckProgram (the POR walk with each execution analyzed inline and the
 // order memo), "materialize" is the two-phase reference that collects
-// every execution through the first-step fan-out and then analyzes
-// serially. Both already use the bitset kernels; EXPERIMENTS.md
-// records the pre-bitset serial baseline these are gated against.
+// every execution into a slice and then analyzes serially. Both already
+// use the bitset kernels; EXPERIMENTS.md records the pre-bitset serial
+// baseline these are gated against.
 func BenchmarkCheckProgram(b *testing.B) {
 	for _, name := range []string{"WorkQueue", "Seqlocks", "Flags_2", "IRIW"} {
 		tc := litmus.ByName(name)

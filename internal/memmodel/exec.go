@@ -13,11 +13,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"rats/internal/core"
@@ -109,18 +106,17 @@ type EnumOptions struct {
 	Quantum bool
 	// Limit bounds the number of executions produced (0 = DefaultLimit).
 	Limit int
-	// Naive disables partial-order reduction and the parallel first-step
-	// fan-out, exploring every SC interleaving sequentially. It is the
-	// reference semantics the reduced enumerator is tested against; the
-	// analyses only need one representative per Mazurkiewicz trace, which
-	// the default mode guarantees.
+	// Naive disables partial-order reduction, exploring every SC
+	// interleaving. It is the reference semantics the reduced enumerator
+	// is tested against; the analyses only need one representative per
+	// Mazurkiewicz trace, which the default mode guarantees.
 	Naive bool
 	// Visit, when non-nil, streams each execution to the callback instead
 	// of accumulating a slice: Enumerate returns (nil, err) and holds no
 	// reference to delivered executions, so memory stays bounded by the
-	// consumer. The callback owns its *Execution. A streaming enumeration
-	// runs on the calling goroutine, without the first-step fan-out, so
-	// Visit calls arrive one at a time in the deterministic branch order.
+	// consumer. The callback owns its *Execution. Enumeration runs on the
+	// calling goroutine, so Visit calls arrive one at a time in the
+	// deterministic branch order.
 	// Returning ErrStop stops enumeration cleanly (Enumerate returns nil
 	// error); any other error aborts enumeration and is returned.
 	Visit func(*Execution) error
@@ -141,20 +137,19 @@ type EnumOptions struct {
 	// of its own so the disabled layout never changes.
 	Telemetry *telemetry.Check
 	// Ctx, when non-nil, cancels the search: the DFS polls the context at
-	// bounded strides (every checkStride nodes per worker), so a client
+	// bounded strides (every checkStride nodes), so a client
 	// disconnect or deadline stops enumeration promptly instead of
 	// exploring to exhaustion. A canceled search returns a *CancelError
 	// wrapping the context's error, so errors.Is(err,
 	// context.DeadlineExceeded) distinguishes deadlines from disconnects.
 	Ctx context.Context
-	// TransitionLimit, when positive, bounds the total DFS transitions
-	// walked across all workers (a work budget orthogonal to Limit's
-	// execution budget: it also caps searches whose interleavings mostly
-	// dead-end before recording, and a weighted op's skipped load choices
-	// take none of it). Enforced in checkStride-sized strides,
-	// so the real cutoff overshoots by at most checkStride transitions
-	// per worker. Tripping it returns a *LimitError with Phase
-	// "transitions".
+	// TransitionLimit, when positive, bounds the DFS transitions walked (a
+	// work budget orthogonal to Limit's execution budget: it also caps
+	// searches whose interleavings mostly dead-end before recording, and a
+	// weighted op's skipped load choices take none of it). Enforced in
+	// checkStride-sized strides, so the real cutoff overshoots by at most
+	// checkStride transitions. Tripping it returns a *LimitError with
+	// Phase "transitions".
 	TransitionLimit int64
 
 	// memo, when non-nil, is the checker's order memo, consulted at every
@@ -164,12 +159,11 @@ type EnumOptions struct {
 	// that reads into no register (opInfo.weighted) takes only its first
 	// load choice, and every leaf below it stands for one execution per
 	// domain value, because the other choices would walk the same subtree
-	// and repeat its orders. The memo is unsynchronized, so Enumerate
-	// rejects it on the first-step fan-out (neither Visit nor Naive set).
+	// and repeat its orders.
 	memo *orderMemo
 }
 
-// checkStride is how many DFS nodes a worker explores between
+// checkStride is how many DFS nodes the walk explores between
 // cancellation/budget checkpoints. Small enough that a 100ms deadline is
 // honored within well under a millisecond of search time, large enough
 // that the checks vanish from profiles.
@@ -252,7 +246,7 @@ func newLimitError(prog, phase string, limit int, execs int64, start time.Time, 
 }
 
 // ErrStop, returned by an EnumOptions.Visit callback, stops enumeration
-// early without error: workers drain and Enumerate returns (nil, nil).
+// early without error: the walk unwinds and Enumerate returns (nil, nil).
 var ErrStop = errors.New("memmodel: stop enumeration")
 
 // eventLayout precomputes the static event numbering of a program.
@@ -359,21 +353,20 @@ type enumerator struct {
 	// por enables sleep-set partial-order reduction (off in Naive mode
 	// and for programs with more threads than the sleep bitmask holds).
 	por bool
-	// count is the execution counter shared across the parallel workers;
-	// it enforces Limit globally so the reduced enumerator errors exactly
-	// when the sequential one would (total recorded executions > Limit).
-	count *atomic.Int64
-	// stop is the shared early-abort flag: set on Visit-requested stop,
-	// Visit error, or limit overrun, it makes every worker unwind its
-	// search promptly instead of exploring to exhaustion.
-	stop *atomic.Bool
+	// count is the number of executions recorded so far; the walk errors
+	// once it exceeds Limit.
+	count int64
+	// stop is the early-abort flag: set on Visit-requested stop, Visit
+	// error, or a tripped budget, it makes the walk unwind promptly
+	// instead of exploring to exhaustion.
+	stop bool
 
 	// proto holds the static Event fields (ID, thread, op, TPos=-1);
 	// record copies it wholesale and fills in per-execution values.
 	proto []Event
 	// info caches the static per-op facts the DFS consults at every node
-	// ([t][opIndex], shared read-only by clones), so the hot loops avoid
-	// copying the full Op struct for each method call.
+	// ([t][opIndex]), so the hot loops avoid copying the full Op struct
+	// for each method call.
 	info [][]opInfo
 
 	// mutable search state
@@ -392,24 +385,23 @@ type enumerator struct {
 	// equivalent sibling branch and is therefore redundant here.
 	sleep uint64
 
-	// keys renders result keys, interned per worker: clone leaves it
-	// empty.
+	// keys renders result keys, interned per search.
 	keys resultKeys
 
 	execs []*Execution
 	err   error
 
-	// tel is the optional instrumentation block, shared by all clones
-	// (nil when disabled); start is the enumeration's wall-clock start,
-	// stamped once by Enumerate for LimitError diagnostics. Both live at
-	// the end of the struct so the disabled mode keeps the hot search
-	// state at the same offsets as the uninstrumented layout.
+	// tel is the optional instrumentation block (nil when disabled);
+	// start is the enumeration's wall-clock start, stamped once by
+	// Enumerate for LimitError diagnostics. Both live at the end of the
+	// struct so the disabled mode keeps the hot search state at the same
+	// offsets as the uninstrumented layout.
 	tel   *telemetry.Check
 	start time.Time
-	// transitions and sleepSkips are clone-local shards of the hot-loop
+	// transitions and sleepSkips are local shards of the hot-loop
 	// counters, always incremented (a register add costs less than a
 	// nil check per transition) and flushed into tel by flushTel once
-	// per branch. clone starts fresh shards per worker.
+	// per walk, or at a trip.
 	transitions int64
 	sleepSkips  int64
 	// weight is how many executions a leaf reached by the current path
@@ -418,37 +410,31 @@ type enumerator struct {
 	weight int64
 
 	// ctx and transLeft implement request-scoped cancellation and the
-	// transition budget: every checkEvery DFS nodes the worker polls the
-	// context and debits the shared budget in checkStride-sized strides.
-	// checkEvery is 0 when neither is configured, so an unscoped search
-	// pays one integer compare per node and nothing else. sinceCheck is
-	// clone-local.
+	// transition budget: every checkEvery DFS nodes the walk polls the
+	// context and debits the budget by one checkStride. checkEvery is 0
+	// when neither is configured, so an unscoped search pays one integer
+	// compare per node and nothing else.
 	ctx        context.Context
-	transLeft  *atomic.Int64
+	transLeft  int64
 	checkEvery int
 	sinceCheck int
 }
 
 func newEnumerator(p *litmus.Program, opts EnumOptions) *enumerator {
 	e := &enumerator{
-		prog:   p,
-		lay:    layout(p),
-		opts:   opts,
-		domain: QuantumDomain(p),
-		por:    !opts.Naive && len(p.Threads) <= 64,
-		count:  new(atomic.Int64),
-		stop:   new(atomic.Bool),
-		tel:    opts.Telemetry,
-		ctx:    opts.Ctx,
-		pc:     make([]int, len(p.Threads)),
-		order:  make([]int, 0, 16),
-		weight: 1,
+		prog:      p,
+		lay:       layout(p),
+		opts:      opts,
+		domain:    QuantumDomain(p),
+		por:       !opts.Naive && len(p.Threads) <= 64,
+		tel:       opts.Telemetry,
+		ctx:       opts.Ctx,
+		transLeft: opts.TransitionLimit,
+		pc:        make([]int, len(p.Threads)),
+		order:     make([]int, 0, 16),
+		weight:    1,
 	}
-	if opts.TransitionLimit > 0 {
-		e.transLeft = new(atomic.Int64)
-		e.transLeft.Store(opts.TransitionLimit)
-	}
-	if e.ctx != nil || e.transLeft != nil {
+	if e.ctx != nil || opts.TransitionLimit > 0 {
 		e.checkEvery = checkStride
 	}
 	e.mem = make([]int64, len(e.lay.locs))
@@ -484,35 +470,6 @@ func newEnumerator(p *litmus.Program, opts EnumOptions) *enumerator {
 	return e
 }
 
-// clone copies the enumerator's full search state. Workers clone the root
-// after its leading no-ops are consumed, so each first-step branch
-// explores an independent copy.
-func (e *enumerator) clone() *enumerator {
-	c := &enumerator{
-		prog: e.prog, lay: e.lay, opts: e.opts, domain: e.domain,
-		por: e.por, count: e.count, stop: e.stop,
-		tel: e.tel, start: e.start, weight: e.weight,
-		ctx: e.ctx, transLeft: e.transLeft, checkEvery: e.checkEvery,
-		proto:   e.proto,
-		info:    e.info,
-		pc:      append([]int(nil), e.pc...),
-		mem:     append([]int64(nil), e.mem...),
-		lastW:   append([]int(nil), e.lastW...),
-		order:   append(make([]int, 0, 16), e.order...),
-		loaded:  append([]int64(nil), e.loaded...),
-		stored:  append([]int64(nil), e.stored...),
-		rf:      append([]int(nil), e.rf...),
-		random:  append([]bool(nil), e.random...),
-		present: append([]bool(nil), e.present...),
-		sleep:   e.sleep,
-	}
-	c.regs = make([][]int64, len(e.regs))
-	for t := range e.regs {
-		c.regs[t] = append([]int64(nil), e.regs[t]...)
-	}
-	return c
-}
-
 // Enumerate produces the SC executions of the program (or of its
 // quantum-equivalent program when opts.Quantum is set).
 //
@@ -524,16 +481,12 @@ func (e *enumerator) clone() *enumerator {
 // hb1, races — all functions of the total order restricted to
 // conflicting pairs) are identical to the Naive enumeration; only the
 // multiplicity of order-equivalent executions shrinks. Set opts.Naive to
-// enumerate every interleaving. A slice enumeration (no opts.Visit) fans
-// the first-step branches out over a worker pool; a streaming one walks
-// them in order on the calling goroutine.
+// enumerate every interleaving. Either way the search is one DFS on the
+// calling goroutine, which delivers executions to opts.Visit in branch
+// order or, without Visit, collects them into the returned slice.
 func Enumerate(p *litmus.Program, opts EnumOptions) ([]*Execution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	sequential := opts.Naive || opts.Visit != nil || len(p.Threads) < 2
-	if opts.memo != nil && !sequential {
-		return nil, errors.New("memmodel: the order memo needs a single-goroutine enumeration (Visit or Naive)")
 	}
 	if opts.Limit == 0 {
 		opts.Limit = DefaultLimit
@@ -545,151 +498,32 @@ func Enumerate(p *litmus.Program, opts EnumOptions) ([]*Execution, error) {
 	}
 	e := newEnumerator(p, opts)
 	e.start = time.Now()
-	if sequential {
-		e.step()
-		// A request trace linked via Telemetry.SetSpan gets one summary
-		// event with the final counters (read before flushTel zeroes the
-		// clone-local shards). Reading the span off the telemetry block
-		// keeps EnumOptions and the enumerator layout-identical to the
-		// untraced build — see the tel field's struct comment.
-		if sp := e.tel.Span(); sp != nil {
-			sp.Event("enumerated",
-				rtrace.Int("executions", e.count.Load()),
-				rtrace.Int("transitions", e.transitions),
-				rtrace.Int("sleep_skips", e.sleepSkips))
-		}
-		e.flushTel()
-		if e.err != nil {
-			return nil, e.err
-		}
-		return e.execs, nil
+	e.step()
+	// A request trace linked via Telemetry.SetSpan gets one summary event
+	// with the final counters (read before flushTel zeroes the local
+	// shards). Reading the span off the telemetry block keeps EnumOptions
+	// and the enumerator layout-identical to the untraced build — see the
+	// tel field's struct comment.
+	if sp := e.tel.Span(); sp != nil {
+		sp.Event("enumerated",
+			rtrace.Int("executions", e.count),
+			rtrace.Int("transitions", e.transitions),
+			rtrace.Int("sleep_skips", e.sleepSkips))
 	}
-	return e.runParallel()
+	e.flushTel()
+	if e.err != nil {
+		return nil, e.err
+	}
+	return e.execs, nil
 }
 
-// flushTel folds the clone-local hot-loop counter shards into the shared
-// telemetry block (no-op when disabled).
+// flushTel folds the hot-loop counter shards into the telemetry block
+// (no-op when disabled). Enumerate calls it once the walk ends; a trip
+// calls it first, so the LimitError's record counts the whole walk.
 func (e *enumerator) flushTel() {
 	e.tel.AddTransitions(e.transitions)
 	e.tel.AddSleepSkips(e.sleepSkips)
 	e.transitions, e.sleepSkips = 0, 0
-}
-
-// runParallel explores the first-step branches on a worker pool: each
-// (thread, value-choice) root transition gets a cloned enumerator, and
-// the per-branch execution lists are concatenated in the sequential
-// branch order, so the output is deterministic and identical to a
-// sequential run of the reduced enumerator.
-func (e *enumerator) runParallel() ([]*Execution, error) {
-	// Consume leading branch markers and disabled guarded ops exactly as
-	// the recursive skip phase in step would: they are thread-local
-	// no-ops, so draining them per thread reaches the same state.
-	for t, th := range e.prog.Threads {
-		for e.pc[t] < len(th.Ops) {
-			inf := &e.info[t][e.pc[t]]
-			if inf.isBranch || (inf.hasGuards && !th.Ops[e.pc[t]].GuardsHold(e.regs[t])) {
-				e.pc[t]++
-				continue
-			}
-			break
-		}
-	}
-	done := true
-	for t := range e.prog.Threads {
-		if e.pc[t] < len(e.prog.Threads[t].Ops) {
-			done = false
-		}
-	}
-	if done {
-		e.record()
-		if e.err != nil {
-			return nil, e.err
-		}
-		return e.execs, nil
-	}
-
-	type task struct {
-		t      int
-		inf    *opInfo
-		lv, sv int64
-		sleep  uint64
-	}
-	var tasks []task
-	var sleepAcc uint64
-	for t, th := range e.prog.Threads {
-		if e.pc[t] >= len(th.Ops) {
-			continue
-		}
-		inf := &e.info[t][e.pc[t]]
-		var child uint64
-		if e.por {
-			child = e.filterSleep(sleepAcc, inf)
-		}
-		loads, stores := choices(inf, e.domain)
-		for _, lv := range loads {
-			for _, sv := range stores {
-				tasks = append(tasks, task{t: t, inf: inf, lv: lv, sv: sv, sleep: child})
-			}
-		}
-		if e.por {
-			sleepAcc |= 1 << uint(t)
-		}
-	}
-
-	workers := make([]*enumerator, len(tasks))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	n := runtime.GOMAXPROCS(0)
-	if n > len(tasks) {
-		n = len(tasks)
-	}
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// When a request trace is linked on the telemetry block,
-			// each pool worker reports as an "enum.worker" child span
-			// with one "branch" event per explored first-step branch
-			// (clone-local transition shards, read before flushTel
-			// zeroes them; executions is the shared recorded total at
-			// event time). nil span = nil child = no per-branch work.
-			var wsp *rtrace.Span
-			if psp := e.tel.Span(); psp != nil {
-				wsp = psp.Child("enum.worker")
-				wsp.SetInt("worker", int64(w))
-			}
-			for i := range jobs {
-				tk := tasks[i]
-				c := e.clone()
-				c.sleep = tk.sleep
-				c.execOne(tk.t, tk.inf, tk.lv, tk.sv)
-				if wsp != nil {
-					wsp.Event("branch",
-						rtrace.Int("task", int64(i)),
-						rtrace.Int("executions", e.count.Load()),
-						rtrace.Int("transitions", c.transitions),
-						rtrace.Int("sleep_skips", c.sleepSkips))
-				}
-				c.flushTel()
-				workers[i] = c
-			}
-			wsp.End()
-		}(w)
-	}
-	for i := range tasks {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
-	var out []*Execution
-	for _, c := range workers {
-		if c.err != nil {
-			return nil, c.err
-		}
-		out = append(out, c.execs...)
-	}
-	return out, nil
 }
 
 // filterSleep returns the sleeping threads that remain asleep after op
@@ -717,35 +551,38 @@ func (e *enumerator) filterSleep(sleep uint64, inf *opInfo) uint64 {
 	return out
 }
 
-// checkpoint polls the cancellation context and debits the shared
-// transition budget by one checkStride. Called every checkEvery DFS nodes
-// per worker, so detection lags the event by a bounded (and tiny) amount
-// of search work. It reports whether the search may continue.
+// checkpoint polls the cancellation context and debits the transition
+// budget by one checkStride. Called every checkEvery DFS nodes, so
+// detection lags the event by a bounded (and tiny) amount of search work.
+// It reports whether the search may continue.
 func (e *enumerator) checkpoint() bool {
 	if e.ctx != nil {
 		if cerr := e.ctx.Err(); cerr != nil {
 			e.err = &CancelError{
 				Prog: e.prog.Name, Phase: "enumeration",
-				Executions: e.count.Load(), Elapsed: time.Since(e.start),
+				Executions: e.count, Elapsed: time.Since(e.start),
 				Err: cerr,
 			}
-			e.stop.Store(true)
+			e.stop = true
 			return false
 		}
 	}
-	if e.transLeft != nil && e.transLeft.Add(-checkStride) <= 0 {
-		e.flushTel()
-		e.err = newLimitError(e.prog.Name, "transitions",
-			int(e.opts.TransitionLimit), e.count.Load(), e.start, e.tel)
-		e.stop.Store(true)
-		return false
+	if e.opts.TransitionLimit > 0 {
+		e.transLeft -= checkStride
+		if e.transLeft <= 0 {
+			e.flushTel()
+			e.err = newLimitError(e.prog.Name, "transitions",
+				int(e.opts.TransitionLimit), e.count, e.start, e.tel)
+			e.stop = true
+			return false
+		}
 	}
 	return true
 }
 
 // step is the DFS over interleavings (and quantum value choices).
 func (e *enumerator) step() {
-	if e.err != nil || e.stop.Load() {
+	if e.err != nil || e.stop {
 		return
 	}
 	if e.checkEvery > 0 {
@@ -923,25 +760,22 @@ func (e *enumerator) execOne(t int, inf *opInfo, qload, qstore int64) {
 
 // record snapshots the completed execution and either streams it to the
 // Visit callback or appends it to the materialized list. The leaf counts
-// as weight executions. The counter is shared across the parallel
-// workers, so Limit bounds the total across all branches. An execution
-// whose order the memo has already seen is counted there instead: its
-// races are those of the order's first execution, so only its SC result
-// is needed.
+// as weight executions, and Limit bounds their total. An execution whose
+// order the memo has already seen is counted there instead: its races
+// are those of the order's first execution, so only its SC result is
+// needed.
 func (e *enumerator) record() {
-	if e.stop.Load() {
-		return
-	}
 	limit := int64(e.opts.Limit)
-	if n := e.count.Add(e.weight); n > limit {
+	before := e.count
+	e.count += e.weight
+	if e.count > limit {
 		// A weighted leaf that crosses the limit counts up to it, so the
 		// trip reports the same executions as an unweighted walk.
-		before := n - e.weight
 		at := max(before, limit)
 		e.tel.AddEnumerated(at - before)
-		e.flushTel() // fold this worker's shard into the trip-time snapshot
+		e.flushTel() // fold the shards into the trip-time snapshot
 		e.err = newLimitError(e.prog.Name, "enumeration", e.opts.Limit, at, e.start, e.tel)
-		e.stop.Store(true)
+		e.stop = true
 		return
 	}
 	e.tel.AddEnumerated(e.weight)
@@ -1002,7 +836,7 @@ func (e *enumerator) record() {
 			if !errors.Is(err, ErrStop) {
 				e.err = err
 			}
-			e.stop.Store(true)
+			e.stop = true
 		}
 		return
 	}

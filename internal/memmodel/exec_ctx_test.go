@@ -9,6 +9,7 @@ import (
 
 	"rats/internal/core"
 	"rats/internal/litmus"
+	"rats/internal/memmodel/telemetry"
 )
 
 // contendedProgram builds a program whose every operation conflicts with
@@ -88,5 +89,53 @@ func TestCheckProgramTransitionLimit(t *testing.T) {
 	}
 	if !errors.Is(err, ErrLimit) {
 		t.Errorf("transition LimitError must satisfy errors.Is(err, ErrLimit)")
+	}
+}
+
+// TestTransitionLimitTripDiagnostics pins a transition-budget trip's
+// diagnostics: enumerated into a slice or through Visit, three runs each,
+// every run trips with the same Executions and the same trip-time
+// telemetry record, whose transitions lie within one checkStride of the
+// budget.
+func TestTransitionLimitTripDiagnostics(t *testing.T) {
+	p := contendedProgram(7, 3)
+	const budget = 10_000
+	var first *LimitError
+	for _, form := range []string{"slice", "visit"} {
+		for run := 0; run < 3; run++ {
+			opts := EnumOptions{
+				TransitionLimit: budget,
+				Limit:           1 << 30,
+				Telemetry:       telemetry.NewCheck(p.Name, "trip"),
+			}
+			if form == "visit" {
+				opts.Visit = func(*Execution) error { return nil }
+			}
+			_, err := Enumerate(p, opts)
+			var le *LimitError
+			if !errors.As(err, &le) || le.Phase != "transitions" {
+				t.Fatalf("%s run %d: want *LimitError with phase transitions, got %v", form, run, err)
+			}
+			if le.Telemetry == nil {
+				t.Fatalf("%s run %d: LimitError carries no telemetry record", form, run)
+			}
+			rec := *le.Telemetry
+			if rec.Transitions <= budget-checkStride || rec.Transitions > budget+checkStride {
+				t.Errorf("%s run %d: tripped at %d transitions, want within (%d, %d]",
+					form, run, rec.Transitions, budget-checkStride, budget+checkStride)
+			}
+			if rec.Executions != le.Executions {
+				t.Errorf("%s run %d: telemetry counts %d executions, the error %d",
+					form, run, rec.Executions, le.Executions)
+			}
+			if first == nil {
+				first = le
+				continue
+			}
+			if le.Executions != first.Executions || rec != *first.Telemetry {
+				t.Errorf("%s run %d: tripped with %d executions and record %+v, first run %d and %+v",
+					form, run, le.Executions, rec, first.Executions, *first.Telemetry)
+			}
+		}
 	}
 }

@@ -262,10 +262,9 @@ func resultKeyProgram() *litmus.Program {
 // TestResultKeyMatchesFinal is the oracle for the enumerator's result-key
 // interning: every delivered execution's ResultKey equals the key
 // rendered independently from its Final map, for every catalog program
-// and resultKeyProgram under every model, in the streaming walk and the
-// slice enumeration's first-step fan-out (whose workers intern
-// separately). It also pins the rendering itself on resultKeyProgram:
-// names ascending, signed decimal values.
+// and resultKeyProgram under every model, delivered through Visit and
+// collected into a slice. It also pins the rendering itself on
+// resultKeyProgram: names ascending, signed decimal values.
 func TestResultKeyMatchesFinal(t *testing.T) {
 	progs := []*litmus.Program{resultKeyProgram()}
 	for _, tc := range litmus.Suite() {
@@ -284,11 +283,11 @@ func TestResultKeyMatchesFinal(t *testing.T) {
 			}
 			execs, err := Enumerate(p.Under(m), EnumOptions{Quantum: true})
 			if err != nil {
-				t.Fatalf("%s/%s fan-out: %v", p.Name, m, err)
+				t.Fatalf("%s/%s slice: %v", p.Name, m, err)
 			}
 			for _, ex := range execs {
 				if err := check(ex); err != nil {
-					t.Fatalf("%s/%s fan-out: %v", p.Name, m, err)
+					t.Fatalf("%s/%s slice: %v", p.Name, m, err)
 				}
 			}
 		}

@@ -238,22 +238,3 @@ func TestOrderMemoCap(t *testing.T) {
 		t.Errorf("skipped executions lost their SC result: %v", m.skipped.scResults)
 	}
 }
-
-// TestEnumerateRejectsParallelMemo: the order memo is unsynchronized, so
-// Enumerate refuses it on the parallel first-step fan-out (a slice
-// enumeration: no Visit, not Naive) before any execution reaches it.
-func TestEnumerateRejectsParallelMemo(t *testing.T) {
-	p := litmus.RefCounter().Under(core.DRFrlx)
-	m := newOrderMemo(p)
-	if m == nil {
-		t.Fatal("RefCounter under DRFrlx has no quantum ops")
-	}
-	execs, err := Enumerate(p, EnumOptions{Quantum: true, memo: m})
-	if err == nil {
-		t.Fatal("Enumerate accepted the order memo on the first-step fan-out")
-	}
-	if execs != nil || len(m.seen) != 0 || m.skipped.execs != 0 {
-		t.Errorf("rejected enumeration still ran: %d executions, memo %d orders / %d skipped",
-			len(execs), len(m.seen), m.skipped.execs)
-	}
-}

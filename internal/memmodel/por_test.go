@@ -52,13 +52,12 @@ func resultSet(execs []*Execution) map[string]bool {
 }
 
 // TestPORMatchesNaiveOnCatalog is the soundness property of the reduced
-// enumerator, over both of its walks: the slice enumeration's parallel
-// first-step fan-out and the streaming (Visit) walk the checker runs. On
-// every program of the litmus catalog (both the raw program and its
-// DRFrlx quantum-equivalent form), each produces exactly the naive
-// enumerator's set of execution signatures — same final states,
-// reads-from choices, values, and race verdicts — while never producing
-// more executions.
+// enumerator, over both of its delivery forms: the slice enumeration and
+// the streaming (Visit) walk the checker runs. On every program of the
+// litmus catalog (both the raw program and its DRFrlx quantum-equivalent
+// form), each produces exactly the naive enumerator's set of execution
+// signatures — same final states, reads-from choices, values, and race
+// verdicts — while never producing more executions.
 func TestPORMatchesNaiveOnCatalog(t *testing.T) {
 	for _, tc := range litmus.Suite() {
 		tc := tc
@@ -76,7 +75,7 @@ func TestPORMatchesNaiveOnCatalog(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: naive enumeration failed: %v", v.name, err)
 				}
-				fanOut, err := Enumerate(v.prog, v.opts)
+				slice, err := Enumerate(v.prog, v.opts)
 				if err != nil {
 					t.Fatalf("%s: reduced enumeration failed: %v", v.name, err)
 				}
@@ -89,20 +88,20 @@ func TestPORMatchesNaiveOnCatalog(t *testing.T) {
 				if _, err := Enumerate(v.prog, wopts); err != nil {
 					t.Fatalf("%s: reduced streaming walk failed: %v", v.name, err)
 				}
-				// The fan-out concatenates its branches in the walk's order.
-				if len(walk) != len(fanOut) {
-					t.Fatalf("%s: walk produced %d executions, fan-out %d", v.name, len(walk), len(fanOut))
+				// The slice holds the walk's executions in the walk's order.
+				if len(walk) != len(slice) {
+					t.Fatalf("%s: walk produced %d executions, slice %d", v.name, len(walk), len(slice))
 				}
 				for i := range walk {
-					if fmt.Sprint(walk[i].Order) != fmt.Sprint(fanOut[i].Order) {
-						t.Fatalf("%s: execution %d: walk order %v, fan-out order %v", v.name, i, walk[i].Order, fanOut[i].Order)
+					if fmt.Sprint(walk[i].Order) != fmt.Sprint(slice[i].Order) {
+						t.Fatalf("%s: execution %d: walk order %v, slice order %v", v.name, i, walk[i].Order, slice[i].Order)
 					}
 				}
 				ns, nr := signatureSet(naive), resultSet(naive)
 				for _, red := range []struct {
 					name  string
 					execs []*Execution
-				}{{"fan-out", fanOut}, {"walk", walk}} {
+				}{{"slice", slice}, {"walk", walk}} {
 					name := v.name + "/" + red.name
 					if len(red.execs) > len(naive) {
 						t.Fatalf("%s: POR produced %d executions, naive %d", name, len(red.execs), len(naive))
@@ -134,9 +133,9 @@ func TestPORMatchesNaiveOnCatalog(t *testing.T) {
 	}
 }
 
-// TestEnumerateDeterministic pins the parallel fan-out's determinism:
-// repeated runs must produce the identical ordered execution list (the
-// per-branch lists are concatenated in sequential branch order).
+// TestEnumerateDeterministic pins the slice enumeration's determinism:
+// repeated runs must produce the identical ordered execution list, in
+// the DFS's branch order.
 func TestEnumerateDeterministic(t *testing.T) {
 	progs := []*litmus.Program{
 		twoByTwo(),

@@ -8,8 +8,8 @@ import (
 
 // checkTwoPhase is the memo-free two-phase reference for CheckProgram: it
 // enumerates every SC execution of the quantum-equivalent program into a
-// slice (through the first-step fan-out), then analyzes them serially
-// with one Analyzer into one verdict shard. It makes the same telemetry
+// slice (without the order memo), then analyzes them serially with one
+// Analyzer into one verdict shard. It makes the same telemetry
 // calls on tel (nil disables them) as the checker, so the two must agree
 // on the verdict and on the deterministic telemetry Record.
 func checkTwoPhase(p0 *litmus.Program, m core.Model, tel *telemetry.Check) (*Verdict, error) {

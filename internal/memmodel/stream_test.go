@@ -11,9 +11,9 @@ import (
 // TestStreamingMatchesMaterialize is the determinism contract of the
 // streaming pipeline: for every catalog program and model, the verdict
 // must be byte-identical to the memo-free two-phase reference, which
-// collects the executions through the first-step fan-out and analyzes
-// them afterwards — every aggregated field is a set merged by union and
-// finished by a sort.
+// collects the executions into a slice and analyzes them afterwards —
+// every aggregated field is a set merged by union and finished by a
+// sort.
 func TestStreamingMatchesMaterialize(t *testing.T) {
 	for _, tc := range litmus.Suite() {
 		for _, m := range []core.Model{core.DRF0, core.DRF1, core.DRFrlx} {

@@ -62,7 +62,7 @@ func (s CheckState) String() string {
 
 // Check is one program check's live counter block. All methods are safe
 // on a nil receiver (the disabled mode) and for concurrent use: the
-// enumerator, analysis workers, and HTTP snapshotters share one Check.
+// check's goroutine updates it while HTTP snapshotters read it.
 type Check struct {
 	program string
 	model   string
@@ -163,9 +163,9 @@ func (c *Check) TraceID() string {
 
 // SetSpan links (or, with nil, unlinks) the request-trace span covering
 // the check's current enumeration phase. While linked, the enumerator
-// emits telemetry-fed span events — the sequential path's "enumerated"
-// summary and the parallel pool's per-worker "enum.worker" children —
-// onto it. The caller owns the span's lifetime: unlink before ending it.
+// emits a telemetry-fed "enumerated" summary event onto it at the end of
+// each walk. The caller owns the span's lifetime: unlink before ending
+// it.
 func (c *Check) SetSpan(sp *rtrace.Span) {
 	if c != nil {
 		c.span.Store(sp)
@@ -244,17 +244,18 @@ func (c *Check) AddEnumerated(n int64) {
 	}
 }
 
-// AddTransitions folds in a worker-local transition count. The
-// enumerator's hot loops count into plain per-clone fields and flush
-// once per branch, so the per-transition cost is a register increment
-// in both modes rather than a pointer load and branch.
+// AddTransitions folds in a locally counted run of transitions. The
+// enumerator's hot loops count into plain fields and flush once per walk
+// (or at a budget trip), so the per-transition cost is a register
+// increment in both modes rather than a pointer load and branch.
 func (c *Check) AddTransitions(n int64) {
 	if c != nil && n != 0 {
 		c.transitions.Add(n)
 	}
 }
 
-// AddSleepSkips folds in a worker-local sleep-set skip count.
+// AddSleepSkips folds in a locally counted run of sleep-set skips,
+// flushed with the transitions.
 func (c *Check) AddSleepSkips(n int64) {
 	if c != nil && n != 0 {
 		c.sleepSkips.Add(n)

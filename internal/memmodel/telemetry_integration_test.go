@@ -83,8 +83,8 @@ func TestCheckTelemetryCounts(t *testing.T) {
 // TestCheckTelemetryDeterministic: the deterministic Record of every
 // catalog check under every model must equal the memo-free two-phase
 // reference's — it is a function of the explored search tree, not of
-// which walk explored it (the first-step fan-out or the streaming
-// walk), nor of how many executions the order memo let skip analysis.
+// how the executions were delivered (into a slice or through Visit), nor
+// of how many executions the order memo let skip analysis.
 // The exception is the catalog's weighted walks, which leave out the
 // subtrees of all but the first load choice of a quantum read into no
 // register: their transitions and sleep-set skips are pinned here and
