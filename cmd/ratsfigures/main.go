@@ -160,14 +160,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ratsfigures: unknown workload %q\n", *stalls)
 			os.Exit(1)
 		}
-		rows, err := harness.StallSweep(*entry, scale, harness.ConfigOrder)
+		rows, err := harness.StallSweep(*entry, scale, harness.ConfigOrder, opts)
 		die(err)
 		fmt.Println(harness.RenderStallSweep(entry.Name, rows))
 		return
 	}
 
 	if *latency {
-		cells, err := harness.LatencySweep(workloads.Micro(), scale, harness.ConfigOrder)
+		cells, err := harness.LatencySweep(workloads.Micro(), scale, harness.ConfigOrder, opts)
 		die(err)
 		fmt.Println(harness.RenderLatencySweep(cells, harness.ConfigOrder))
 		return
@@ -196,8 +196,8 @@ func main() {
 		fmt.Println(workloads.ProfileTable(scale))
 	}
 	if want("fig1") {
-		rows, err := harness.Figure1(scale)
-		die(err)
+		rows, err := harness.Figure1(scale, opts)
+		fail(err)
 		fmt.Println(harness.RenderFigure1(rows))
 	}
 	if want("fig2") {

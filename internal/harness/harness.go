@@ -8,12 +8,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rats/internal/core"
@@ -21,10 +19,10 @@ import (
 	"rats/internal/fault"
 	"rats/internal/memmodel/telemetry"
 	"rats/internal/obs"
+	"rats/internal/probe"
 	"rats/internal/report"
 	"rats/internal/sim/memsys"
 	"rats/internal/sim/system"
-	"rats/internal/trace"
 	"rats/internal/workloads"
 )
 
@@ -35,8 +33,16 @@ var ConfigOrder = []string{"GD0", "GD1", "GDR", "DD0", "DD1", "DDR"}
 var EnergyComponents = []string{"GPU core+", "Scratch", "L1", "L2", "NoC"}
 
 // ConfigFor returns the simulator configuration for a name like "GD0" or
-// "DDR".
+// "DDR", or for Figure 1's discrete GPU, "discrete-" and a model name
+// (e.g. "discrete-DRF0").
 func ConfigFor(name string) (memsys.Config, error) {
+	if m, ok := strings.CutPrefix(name, "discrete-"); ok {
+		model, err := core.ParseModel(m)
+		if err != nil {
+			return memsys.Config{}, fmt.Errorf("harness: bad model in %q", name)
+		}
+		return memsys.Discrete(model), nil
+	}
 	if len(name) != 3 {
 		return memsys.Config{}, fmt.Errorf("harness: bad config name %q", name)
 	}
@@ -98,26 +104,10 @@ type RunOptions struct {
 	// JSONL records when a litmus sweep completes — one JSON object per
 	// check, in suite order, byte-identical across runs and worker counts.
 	TelemetryOut io.Writer
-	// Retries, when positive, re-runs a failed (workload, config) pair up
-	// to this many extra times when the failure looks transient — a
-	// recovered panic or a wall-clock timeout — with exponential backoff
-	// and jitter between attempts. Deterministic failures (bad config,
-	// nil trace) are never retried. Every failed attempt is journaled, so
-	// a resumed sweep picks up the remaining budget instead of starting
-	// the count over, and a pair that exhausted its budget in an earlier
-	// process fails immediately instead of burning the timeouts again.
-	Retries int
-	// RetryBackoff is the delay before the first retry; each further
-	// retry doubles it (plus up to 50% jitter, capped at 5s). Zero means
-	// 100ms.
-	RetryBackoff time.Duration
 }
 
 // apply folds the options into a run configuration.
 func (o *RunOptions) apply(cfg *memsys.Config) {
-	if o == nil {
-		return
-	}
 	cfg.Faults = o.Faults
 	cfg.FaultSeed = o.FaultSeed
 	switch {
@@ -128,206 +118,163 @@ func (o *RunOptions) apply(cfg *memsys.Config) {
 	}
 }
 
-// errRunPanic and errRunTimeout classify a run failure for the retry
-// logic. They are sentinels wrapped into the returned error at the point
-// where the failure's nature is known for certain — recovering the panic,
-// observing the timeout timer fire — so classification never depends on
-// what the error message happens to contain (a workload or config whose
-// name mentions "timeout" must not look transient).
-var (
-	errRunPanic   = errors.New("run panicked")
-	errRunTimeout = errors.New("run timed out")
-)
+// run is one simulation of a sweep: a workload under a configuration
+// ConfigFor resolves, with an optional probe hub. A run with a hub always
+// simulates and is never journaled, because its caller reads the hub's
+// sinks afterwards.
+type run struct {
+	entry workloads.Entry
+	cfg   string
+	hub   *probe.Hub
+}
 
-// runOne executes a single (workload, config) pair with panic recovery
-// and an optional wall-clock timeout. A panic anywhere in trace building
-// or simulation is converted into an error carrying the stack, so one
-// broken run cannot take down the rest of a sweep.
-func runOne(entry workloads.Entry, scale workloads.Scale, cfgName string, opts *RunOptions) (res *system.Result, err error) {
+// grid lists every entry under every named configuration, entry-major.
+func grid(entries []workloads.Entry, cfgNames []string) []run {
+	var runs []run
+	for _, e := range entries {
+		for _, c := range cfgNames {
+			runs = append(runs, run{entry: e, cfg: c})
+		}
+	}
+	return runs
+}
+
+// forEach calls fn(worker, i) for every i in [0, n), handing the indices
+// out in ascending order to min(workers, n) goroutines, and returns once
+// every call has. worker identifies the goroutine that made the call.
+func forEach(n, workers int, fn func(worker, i int)) {
+	workers = max(min(workers, n), 1)
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				fn(w, i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+}
+
+// sweep runs every run on GOMAXPROCS workers and hands each result to
+// keep(i, res) on the worker that produced it, so a caller that keeps
+// only statistics lets the simulated machine go as soon as its run ends.
+// Failures do not stop the sweep: a failed run is not kept, and its
+// error, prefixed with workload/config, joins the returned error. With a
+// journal, a run without a hub is restored when journaled and journaled
+// when it completes.
+func sweep(runs []run, scale workloads.Scale, opts *RunOptions, keep func(i int, res *system.Result)) error {
+	if opts == nil {
+		opts = &RunOptions{}
+	}
+	errs := make([]error, len(runs))
+	forEach(len(runs), runtime.GOMAXPROCS(0), func(_, i int) {
+		r := runs[i]
+		jnl := opts.Journal
+		if r.hub != nil {
+			jnl = nil
+		}
+		if jnl != nil {
+			if res, ok := jnl.Lookup(r.entry.Name, r.cfg); ok {
+				keep(i, res)
+				if opts.Progress != nil {
+					opts.Progress.Restored(r.entry.Name, r.cfg, res.Stats.Cycles)
+				}
+				return
+			}
+		}
+		if opts.Progress != nil {
+			opts.Progress.Start(r.entry.Name, r.cfg)
+		}
+		res, err := runOne(r, scale, opts)
+		if err != nil {
+			errs[i] = fmt.Errorf("%s/%s: %w", r.entry.Name, r.cfg, err)
+			if opts.Progress != nil {
+				opts.Progress.Fail(r.entry.Name, r.cfg, err)
+			}
+			return
+		}
+		keep(i, res)
+		if opts.Progress != nil {
+			opts.Progress.Done(r.entry.Name, r.cfg, res.Stats.Cycles)
+		}
+		if jnl != nil {
+			if err := jnl.Record(r.entry.Name, r.cfg, res); err != nil {
+				errs[i] = fmt.Errorf("%s/%s: journal: %w", r.entry.Name, r.cfg, err)
+			}
+		}
+	})
+	return errors.Join(errs...)
+}
+
+// runOne builds, loads and runs one simulation under opts, with panic
+// recovery and an optional wall-clock timeout. A panic anywhere in trace
+// building or simulation is converted into an error carrying the stack,
+// so one broken run cannot take down the rest of a sweep. The run's hub,
+// if any, is attached before the trace loads and closed after the run.
+func runOne(r run, scale workloads.Scale, opts *RunOptions) (res *system.Result, err error) {
 	defer func() {
-		if r := recover(); r != nil {
+		if p := recover(); p != nil {
 			res = nil
-			err = fmt.Errorf("%w: panic: %v\n%s", errRunPanic, r, debug.Stack())
+			err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
 		}
 	}()
-	cfg, err := ConfigFor(cfgName)
+	cfg, err := ConfigFor(r.cfg)
 	if err != nil {
 		return nil, err
 	}
 	opts.apply(&cfg)
-	var tr *trace.Trace
-	if tr = entry.Build(scale); tr == nil {
-		return nil, fmt.Errorf("workload %s built a nil trace", entry.Name)
+	tr := r.entry.Build(scale)
+	if tr == nil {
+		return nil, fmt.Errorf("workload %s built a nil trace", r.entry.Name)
 	}
 	sys := system.New(cfg)
+	if r.hub != nil {
+		sys.AttachProbe(r.hub)
+	}
 	if err := sys.Load(tr); err != nil {
 		return nil, err
 	}
-	var timedOut atomic.Bool
-	if opts != nil && opts.Timeout > 0 {
-		d := opts.Timeout
+	if d := opts.Timeout; d > 0 {
 		t := time.AfterFunc(d, func() {
-			timedOut.Store(true)
 			sys.Abort(fmt.Sprintf("wall-clock timeout %s exceeded", d))
 		})
 		defer t.Stop()
 	}
 	res, err = sys.Run()
-	if err != nil && timedOut.Load() {
-		err = fmt.Errorf("%w: %w", errRunTimeout, err)
+	if r.hub != nil {
+		err = errors.Join(err, r.hub.Close())
 	}
 	return res, err
 }
 
-// retryable reports whether a run failure is worth re-attempting: a
-// recovered panic or a wall-clock timeout can be a transient scheduling
-// or resource hiccup, while config and trace errors are deterministic
-// and would just fail again.
-func retryable(err error) bool {
-	return errors.Is(err, errRunPanic) || errors.Is(err, errRunTimeout)
-}
-
-// retrySleep is the backoff before retry n (0-based): base doubled n
-// times, capped at 5s, plus up to 50% jitter so retries from parallel
-// workers do not re-collide. Doubling stops at the cap, so a large n
-// cannot overflow the shift into a negative duration.
-func retrySleep(base time.Duration, n int) time.Duration {
-	const max = 5 * time.Second
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	d := base
-	for i := 0; i < n && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	return d + time.Duration(rand.Int63n(int64(d)/2+1))
-}
-
-// runAttempts runs one (workload, config) pair through the retry budget.
-// The journal's attempt history counts against the budget, so a resumed
-// sweep continues where the previous process stopped — and refuses
-// outright when the budget was already exhausted.
-func runAttempts(entry workloads.Entry, scale workloads.Scale, cfgName string, opts *RunOptions) (*system.Result, error) {
-	budget := 1
-	var jnl *Journal
-	if opts != nil {
-		budget += opts.Retries
-		jnl = opts.Journal
-	}
-	start := 0
-	if jnl != nil {
-		n, lastErr := jnl.Attempts(entry.Name, cfgName)
-		if n >= budget {
-			return nil, fmt.Errorf("retry budget exhausted in an earlier sweep (%d attempts; last: %s)", n, lastErr)
-		}
-		start = n
-	}
-	for attempt := start; ; attempt++ {
-		res, err := runOne(entry, scale, cfgName, opts)
-		if err == nil {
-			return res, nil
-		}
-		if !retryable(err) {
-			return nil, err
-		}
-		if jnl != nil {
-			if jerr := jnl.RecordAttempt(entry.Name, cfgName, attempt+1, err); jerr != nil {
-				return nil, errors.Join(err, fmt.Errorf("journal attempt: %w", jerr))
-			}
-		}
-		if attempt+1 >= budget {
-			if budget > 1 {
-				return nil, fmt.Errorf("attempt %d/%d: %w", attempt+1, budget, err)
-			}
-			return nil, err
-		}
-		var backoff time.Duration
-		if opts != nil {
-			backoff = opts.RetryBackoff
-		}
-		time.Sleep(retrySleep(backoff, attempt-start))
-	}
-}
-
-// RunAll simulates every entry under every named configuration, in
+// RunAllWith simulates every entry under every named configuration, in
 // parallel across runs (each simulation is single-threaded and
-// independent). Equivalent to RunAllWith with zero options.
-func RunAll(entries []workloads.Entry, scale workloads.Scale, cfgNames []string) (Results, error) {
-	return RunAllWith(entries, scale, cfgNames, nil)
-}
-
-// RunAllWith is RunAll with resilience options. Failures do not stop the
-// sweep: every run is attempted (or restored from the journal), all
-// errors are joined into the returned error, and the Results hold every
-// run that did succeed — callers get partial figures plus a full account
-// of what failed.
+// independent). Failures do not stop the sweep: every run is attempted
+// (or restored from the journal), all errors are joined into the
+// returned error, and the Results hold every run that did succeed —
+// callers get partial figures plus a full account of what failed.
 func RunAllWith(entries []workloads.Entry, scale workloads.Scale, cfgNames []string, opts *RunOptions) (Results, error) {
-	type job struct {
-		entry workloads.Entry
-		cfg   string
-	}
-	var jobs []job
-	for _, e := range entries {
-		for _, c := range cfgNames {
-			jobs = append(jobs, job{e, c})
-		}
-	}
+	runs := grid(entries, cfgNames)
+	res := make([]*system.Result, len(runs))
+	err := sweep(runs, scale, opts, func(i int, r *system.Result) { res[i] = r })
 	out := Results{}
-	var mu sync.Mutex
-	errs := make([]error, len(jobs))
-	record := func(j job, res *system.Result) {
-		mu.Lock()
-		if out[j.entry.Name] == nil {
-			out[j.entry.Name] = map[string]*system.Result{}
+	for i, r := range runs {
+		if res[i] == nil {
+			continue
 		}
-		out[j.entry.Name][j.cfg] = res
-		mu.Unlock()
-	}
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, j := range jobs {
-		i, j := i, j
-		if opts != nil && opts.Journal != nil {
-			if res, ok := opts.Journal.Lookup(j.entry.Name, j.cfg); ok {
-				record(j, res)
-				if opts.Progress != nil {
-					opts.Progress.Restored(j.entry.Name, j.cfg, res.Stats.Cycles)
-				}
-				continue
-			}
+		if out[r.entry.Name] == nil {
+			out[r.entry.Name] = map[string]*system.Result{}
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if opts != nil && opts.Progress != nil {
-				opts.Progress.Start(j.entry.Name, j.cfg)
-			}
-			res, err := runAttempts(j.entry, scale, j.cfg, opts)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s/%s: %w", j.entry.Name, j.cfg, err)
-				if opts != nil && opts.Progress != nil {
-					opts.Progress.Fail(j.entry.Name, j.cfg, err)
-				}
-				return
-			}
-			record(j, res)
-			if opts != nil && opts.Progress != nil {
-				opts.Progress.Done(j.entry.Name, j.cfg, res.Stats.Cycles)
-			}
-			if opts != nil && opts.Journal != nil {
-				if jerr := opts.Journal.Record(j.entry.Name, j.cfg, res); jerr != nil {
-					errs[i] = fmt.Errorf("%s/%s: journal: %w", j.entry.Name, j.cfg, jerr)
-				}
-			}
-		}()
+		out[r.entry.Name][r.cfg] = res[i]
 	}
-	wg.Wait()
-	return out, errors.Join(errs...)
+	return out, err
 }
 
 // Figure holds one reproduced figure: execution time and energy, plus the
@@ -373,37 +320,18 @@ func (f *Figure) Render() string {
 	return b.String()
 }
 
-// Figure3 reproduces Figure 3: the seven microbenchmarks under all six
-// configurations.
-func Figure3(scale workloads.Scale) (*Figure, error) {
-	fig, err := Figure3With(scale, nil)
-	if err != nil {
-		return nil, err
-	}
-	return fig, nil
-}
-
-// Figure3With is Figure3 with resilience options. Unlike Figure3, a
-// non-nil error still comes with the figure built from whatever runs
-// succeeded.
+// Figure3With reproduces Figure 3: the seven microbenchmarks under all
+// six configurations. A non-nil error still comes with the figure built
+// from whatever runs succeeded.
 func Figure3With(scale workloads.Scale, opts *RunOptions) (*Figure, error) {
 	entries := workloads.Micro()
 	res, err := RunAllWith(entries, scale, ConfigOrder, opts)
 	return buildFigure("Figure 3: microbenchmarks", entries, res), err
 }
 
-// Figure4 reproduces Figure 4: UTS, BC 1-4, PR 1-4 under all six
-// configurations.
-func Figure4(scale workloads.Scale) (*Figure, error) {
-	fig, err := Figure4With(scale, nil)
-	if err != nil {
-		return nil, err
-	}
-	return fig, nil
-}
-
-// Figure4With is Figure4 with resilience options; like Figure3With it
-// returns the partial figure alongside any joined error.
+// Figure4With reproduces Figure 4: UTS, BC 1-4, PR 1-4 under all six
+// configurations; like Figure3With it returns the partial figure
+// alongside any joined error.
 func Figure4With(scale workloads.Scale, opts *RunOptions) (*Figure, error) {
 	entries := workloads.Benchmarks()
 	res, err := RunAllWith(entries, scale, ConfigOrder, opts)
@@ -419,43 +347,21 @@ type Figure1Row struct {
 // Figure1 reproduces Figure 1: relaxed vs. SC atomics on a discrete GPU.
 // Each application runs twice on the discrete configuration — once with
 // every atomic strengthened to SC (DRF0) and once with its relaxed
-// annotations honoured (DRFrlx) — and the speedup is reported.
-func Figure1(scale workloads.Scale) ([]Figure1Row, error) {
+// annotations honoured (DRFrlx) — and the speedup is reported. Like
+// Figure3With, a non-nil error comes with the rows of every application
+// whose two runs succeeded.
+func Figure1(scale workloads.Scale, opts *RunOptions) ([]Figure1Row, error) {
 	apps := workloads.Figure1Apps()
-	type res struct {
-		idx     int
-		sc, rlx int64
-		err     error
-	}
-	ch := make(chan res, len(apps))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	runs := grid(apps, []string{"discrete-DRF0", "discrete-DRFrlx"})
+	cycles := make([]int64, len(runs)) // 0 marks a failed run
+	err := sweep(runs, scale, opts, func(i int, res *system.Result) { cycles[i] = res.Stats.Cycles })
+	var rows []Figure1Row
 	for i, app := range apps {
-		i, app := i, app
-		sem <- struct{}{}
-		go func() {
-			defer func() { <-sem }()
-			scRes, err := system.RunTrace(memsys.Discrete(core.DRF0), app.Build(scale))
-			if err != nil {
-				ch <- res{err: fmt.Errorf("%s SC: %w", app.Name, err)}
-				return
-			}
-			rlxRes, err := system.RunTrace(memsys.Discrete(core.DRFrlx), app.Build(scale))
-			if err != nil {
-				ch <- res{err: fmt.Errorf("%s relaxed: %w", app.Name, err)}
-				return
-			}
-			ch <- res{idx: i, sc: scRes.Stats.Cycles, rlx: rlxRes.Stats.Cycles}
-		}()
-	}
-	rows := make([]Figure1Row, len(apps))
-	for range apps {
-		r := <-ch
-		if r.err != nil {
-			return nil, r.err
+		if sc, rlx := cycles[2*i], cycles[2*i+1]; sc > 0 && rlx > 0 {
+			rows = append(rows, Figure1Row{App: app.Name, Speedup: float64(sc) / float64(rlx)})
 		}
-		rows[r.idx] = Figure1Row{App: apps[r.idx].Name, Speedup: float64(r.sc) / float64(r.rlx)}
 	}
-	return rows, nil
+	return rows, err
 }
 
 // RenderFigure1 draws the Figure 1 bars.

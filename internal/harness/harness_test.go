@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,26 +12,25 @@ import (
 )
 
 func TestConfigFor(t *testing.T) {
-	for name, want := range map[string]struct {
-		proto memsys.Protocol
-		model core.Model
-	}{
-		"GD0": {memsys.ProtoGPU, core.DRF0},
-		"GD1": {memsys.ProtoGPU, core.DRF1},
-		"GDR": {memsys.ProtoGPU, core.DRFrlx},
-		"DD0": {memsys.ProtoDeNovo, core.DRF0},
-		"DD1": {memsys.ProtoDeNovo, core.DRF1},
-		"DDR": {memsys.ProtoDeNovo, core.DRFrlx},
+	for name, want := range map[string]memsys.Config{
+		"GD0":             memsys.Default(memsys.ProtoGPU, core.DRF0),
+		"GD1":             memsys.Default(memsys.ProtoGPU, core.DRF1),
+		"GDR":             memsys.Default(memsys.ProtoGPU, core.DRFrlx),
+		"DD0":             memsys.Default(memsys.ProtoDeNovo, core.DRF0),
+		"DD1":             memsys.Default(memsys.ProtoDeNovo, core.DRF1),
+		"DDR":             memsys.Default(memsys.ProtoDeNovo, core.DRFrlx),
+		"discrete-DRF0":   memsys.Discrete(core.DRF0),
+		"discrete-DRFrlx": memsys.Discrete(core.DRFrlx),
 	} {
 		cfg, err := ConfigFor(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if cfg.Protocol != want.proto || cfg.Model != want.model {
-			t.Errorf("%s -> %v/%v", name, cfg.Protocol, cfg.Model)
+		if !reflect.DeepEqual(cfg, want) {
+			t.Errorf("%s -> %v/%v, want %v/%v", name, cfg.Protocol, cfg.Model, want.Protocol, want.Model)
 		}
 	}
-	for _, bad := range []string{"", "XX0", "GD9", "ZDR", "GD"} {
+	for _, bad := range []string{"", "XX0", "GD9", "ZDR", "GD", "discrete-", "discrete-GD0"} {
 		if _, err := ConfigFor(bad); err == nil {
 			t.Errorf("ConfigFor(%q) should fail", bad)
 		}
@@ -91,7 +91,7 @@ func sscan(s string, lo, hi *int64) (int, error) {
 }
 
 func TestFigure1Shape(t *testing.T) {
-	rows, err := Figure1(workloads.Test)
+	rows, err := Figure1(workloads.Test, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestFigure1Shape(t *testing.T) {
 }
 
 func TestFigure3ShapeAndSummary(t *testing.T) {
-	fig3, err := Figure3(workloads.Test)
+	fig3, err := Figure3With(workloads.Test, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestFigure3ShapeAndSummary(t *testing.T) {
 			}
 		}
 	}
-	fig4, err := Figure4(workloads.Test)
+	fig4, err := Figure4With(workloads.Test, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,14 +184,14 @@ func TestFigure3ShapeAndSummary(t *testing.T) {
 }
 
 func TestRunAllErrorPropagation(t *testing.T) {
-	_, err := RunAll(workloads.Micro()[:1], workloads.Test, []string{"BOGUS"})
+	_, err := RunAllWith(workloads.Micro()[:1], workloads.Test, []string{"BOGUS"}, nil)
 	if err == nil {
 		t.Fatal("bogus config should error")
 	}
 }
 
 func TestEnergyBreakdownPopulated(t *testing.T) {
-	fig3, err := Figure3(workloads.Test)
+	fig3, err := Figure3With(workloads.Test, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 
 	"rats/internal/energy"
@@ -13,27 +12,14 @@ import (
 	"rats/internal/stats"
 )
 
-// journalRecord is one journal line: a completed run (Kind empty, the
-// original format) or a failed attempt (Kind "attempt"). For results,
-// Stats and Energy are enough to rebuild figures and summaries; the
-// functional value layer is not persisted, so restored results have a nil
-// Read closure. For attempts, Attempt is the cumulative attempt count for
-// the pair and Error the first line of the failure, so a resumed sweep
-// knows how much of the retry budget an earlier process already burned.
+// journalRecord is one journal line: a completed run. Stats and Energy
+// are enough to rebuild figures and summaries; the functional value layer
+// is not persisted, so restored results have a nil Read closure.
 type journalRecord struct {
-	Kind     string           `json:"kind,omitempty"`
 	Workload string           `json:"workload"`
 	Config   string           `json:"config"`
 	Stats    stats.Stats      `json:"stats,omitempty"`
 	Energy   energy.Breakdown `json:"energy,omitempty"`
-	Attempt  int              `json:"attempt,omitempty"`
-	Error    string           `json:"error,omitempty"`
-}
-
-// attemptState tracks the journaled attempt history for one pair.
-type attemptState struct {
-	count   int
-	lastErr string
 }
 
 // Journal is a crash-safe JSONL checkpoint of a sweep. Every completed
@@ -41,10 +27,9 @@ type attemptState struct {
 // most the runs still in flight; reopening the same path restores the
 // completed ones and the sweep re-simulates only what is missing.
 type Journal struct {
-	mu       sync.Mutex
-	f        *os.File
-	done     map[string]*system.Result
-	attempts map[string]attemptState
+	mu   sync.Mutex
+	f    *os.File
+	done map[string]*system.Result
 }
 
 func journalKey(workload, config string) string { return workload + "\x00" + config }
@@ -57,7 +42,7 @@ func OpenJournal(path string) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("harness: open journal: %w", err)
 	}
-	j := &Journal{f: f, done: map[string]*system.Result{}, attempts: map[string]attemptState{}}
+	j := &Journal{f: f, done: map[string]*system.Result{}}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	for sc.Scan() {
@@ -65,17 +50,18 @@ func OpenJournal(path string) (*Journal, error) {
 		if len(line) == 0 {
 			continue
 		}
-		var rec journalRecord
+		// Older journals also hold failed-attempt lines, marked by a
+		// "kind" field; they record no result, so their pair re-runs.
+		var rec struct {
+			journalRecord
+			Kind string `json:"kind"`
+		}
 		if err := json.Unmarshal(line, &rec); err != nil {
 			// Torn or corrupt line (likely the tail of an interrupted
 			// write): skip it; the pair will simply be re-run.
 			continue
 		}
-		if rec.Kind == "attempt" {
-			key := journalKey(rec.Workload, rec.Config)
-			if st := j.attempts[key]; rec.Attempt > st.count {
-				j.attempts[key] = attemptState{count: rec.Attempt, lastErr: rec.Error}
-			}
+		if rec.Kind != "" {
 			continue
 		}
 		cfg, err := ConfigFor(rec.Config)
@@ -140,51 +126,6 @@ func (j *Journal) Record(workload, config string, res *system.Result) error {
 		return err
 	}
 	j.done[journalKey(workload, config)] = res
-	return nil
-}
-
-// Attempts returns how many failed attempts have been journaled for a
-// (workload, config) pair, with the first line of the last error. A
-// successful run does not erase the history, but Lookup hits first, so
-// the pair is restored rather than re-run anyway.
-func (j *Journal) Attempts(workload, config string) (int, string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := j.attempts[journalKey(workload, config)]
-	return st.count, st.lastErr
-}
-
-// RecordAttempt journals one failed attempt (attempt is the cumulative
-// count for the pair) and syncs before returning, so a killed process
-// cannot silently forget how much retry budget it burned.
-func (j *Journal) RecordAttempt(workload, config string, attempt int, runErr error) error {
-	msg := runErr.Error()
-	if i := strings.IndexByte(msg, '\n'); i >= 0 {
-		msg = msg[:i] // drop panic stacks; one journal line per attempt
-	}
-	line, err := json.Marshal(journalRecord{
-		Kind:     "attempt",
-		Workload: workload,
-		Config:   config,
-		Attempt:  attempt,
-		Error:    msg,
-	})
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(line); err != nil {
-		return err
-	}
-	if err := j.f.Sync(); err != nil {
-		return err
-	}
-	key := journalKey(workload, config)
-	if st := j.attempts[key]; attempt > st.count {
-		j.attempts[key] = attemptState{count: attempt, lastErr: msg}
-	}
 	return nil
 }
 

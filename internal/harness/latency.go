@@ -2,9 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"rats/internal/hist"
 	"rats/internal/probe"
@@ -26,69 +24,33 @@ type LatencyCell struct {
 // a span-stitching latency sink attached, returning one cell per run in
 // (workload-major, config-minor) order. Runs execute in parallel — each
 // has its own hub and sink — but the returned order is deterministic.
-func LatencySweep(entries []workloads.Entry, scale workloads.Scale, cfgNames []string) ([]LatencyCell, error) {
-	type job struct {
-		entry workloads.Entry
-		cfg   string
+// opts applies as in RunAllWith, except that the journal is not used:
+// every run simulates so that its sink fills.
+func LatencySweep(entries []workloads.Entry, scale workloads.Scale, cfgNames []string, opts *RunOptions) ([]LatencyCell, error) {
+	runs := grid(entries, cfgNames)
+	sinks := make([]*probe.LatencySink, len(runs))
+	for i := range runs {
+		sinks[i] = probe.NewLatencySink()
+		runs[i].hub = probe.NewHub()
+		runs[i].hub.Attach(sinks[i])
 	}
-	var jobs []job
-	for _, e := range entries {
-		for _, c := range cfgNames {
-			jobs = append(jobs, job{e, c})
+	cycles := make([]int64, len(runs))
+	if err := sweep(runs, scale, opts, func(i int, res *system.Result) { cycles[i] = res.Stats.Cycles }); err != nil {
+		return nil, err
+	}
+	cells := make([]LatencyCell, len(runs))
+	for i, r := range runs {
+		if n := sinks[i].Open(); n > 0 {
+			return nil, fmt.Errorf("%s/%s: %d spans left open at end of run", r.entry.Name, r.cfg, n)
 		}
-	}
-	cells := make([]LatencyCell, len(jobs))
-	errs := make([]error, len(jobs))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, j := range jobs {
-		i, j := i, j
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			cells[i], errs[i] = latencyOne(j.entry, scale, j.cfg)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		cells[i] = LatencyCell{
+			Workload: r.entry.Name,
+			Config:   r.cfg,
+			Cycles:   cycles[i],
+			Entries:  sinks[i].Snapshot(),
 		}
 	}
 	return cells, nil
-}
-
-func latencyOne(entry workloads.Entry, scale workloads.Scale, cfgName string) (LatencyCell, error) {
-	cfg, err := ConfigFor(cfgName)
-	if err != nil {
-		return LatencyCell{}, err
-	}
-	sink := probe.NewLatencySink()
-	hub := probe.NewHub()
-	hub.Attach(sink)
-	sys := system.New(cfg)
-	sys.AttachProbe(hub)
-	if err := sys.Load(entry.Build(scale)); err != nil {
-		return LatencyCell{}, fmt.Errorf("%s/%s: %w", entry.Name, cfgName, err)
-	}
-	res, err := sys.Run()
-	if err != nil {
-		return LatencyCell{}, fmt.Errorf("%s/%s: %w", entry.Name, cfgName, err)
-	}
-	if err := hub.Close(); err != nil {
-		return LatencyCell{}, err
-	}
-	if n := sink.Open(); n > 0 {
-		return LatencyCell{}, fmt.Errorf("%s/%s: %d spans left open at end of run", entry.Name, cfgName, n)
-	}
-	return LatencyCell{
-		Workload: entry.Name,
-		Config:   cfgName,
-		Cycles:   res.Stats.Cycles,
-		Entries:  sink.Snapshot(),
-	}, nil
 }
 
 // overall merges every (op, level) entry of a cell into one histogram.

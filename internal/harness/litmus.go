@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"rats/internal/core"
 	"rats/internal/litmus"
@@ -61,12 +60,6 @@ func LitmusSweep(suite []litmus.Case, opts LitmusSweepOptions) ([]LitmusCaseResu
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(suite) {
-		workers = len(suite)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	var reg *telemetry.Registry
 	var progress *obs.Progress
 	if opts.Run != nil {
@@ -75,23 +68,9 @@ func LitmusSweep(suite []litmus.Case, opts LitmusSweepOptions) ([]LitmusCaseResu
 	}
 
 	results := make([]LitmusCaseResult, len(suite))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i] = runLitmusCase(suite[i], w, opts, reg, progress)
-			}
-		}()
-	}
-	for i := range suite {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	forEach(len(suite), workers, func(w, i int) {
+		results[i] = runLitmusCase(suite[i], w, opts, reg, progress)
+	})
 
 	var errs []error
 	for i := range results {

@@ -3,33 +3,45 @@ package harness
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"rats/internal/core"
 	"rats/internal/fault"
+	"rats/internal/obs"
+	"rats/internal/sim/memsys"
 	"rats/internal/trace"
 	"rats/internal/workloads"
 )
 
 // TestRunAllAggregatesErrors asserts a sweep reports every failure, not
-// just the first, while still returning the runs that succeeded.
+// just the first, while still returning the runs that succeeded. A
+// workload that builds a nil trace fails its run like a bogus config.
 func TestRunAllAggregatesErrors(t *testing.T) {
-	entries := workloads.Micro()[:1]
-	res, err := RunAll(entries, workloads.Test, []string{"XD0", "GD0", "XD1"})
+	good := workloads.Micro()[0]
+	hollow := workloads.Entry{
+		Name:  "hollow",
+		Build: func(workloads.Scale) *trace.Trace { return nil },
+	}
+	res, err := RunAllWith([]workloads.Entry{good, hollow}, workloads.Test, []string{"XD0", "GD0", "XD1"}, nil)
 	if err == nil {
-		t.Fatal("expected an error for the two bogus configs")
+		t.Fatal("expected an error for the two bogus configs and the nil trace")
 	}
 	msg := err.Error()
-	for _, want := range []string{"XD0", "XD1"} {
+	for _, want := range []string{good.Name + "/XD0", good.Name + "/XD1", "hollow/GD0: workload hollow built a nil trace"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("joined error missing failure %q:\n%s", want, msg)
 		}
 	}
 	// The good config's run must survive as a partial result.
-	if res[entries[0].Name]["GD0"] == nil {
+	if res[good.Name]["GD0"] == nil {
 		t.Error("partial results dropped the successful GD0 run")
+	}
+	if res["hollow"] != nil {
+		t.Error("the nil-trace workload produced a result")
 	}
 }
 
@@ -42,7 +54,7 @@ func TestRunAllRecoversPanics(t *testing.T) {
 		Name:  "bomb",
 		Build: func(workloads.Scale) *trace.Trace { panic("kaboom") },
 	}
-	res, err := RunAll([]workloads.Entry{bomb, good}, workloads.Test, []string{"GD0"})
+	res, err := RunAllWith([]workloads.Entry{bomb, good}, workloads.Test, []string{"GD0"}, nil)
 	if err == nil {
 		t.Fatal("expected the panicking workload to surface as an error")
 	}
@@ -177,6 +189,45 @@ func TestJournalTornTail(t *testing.T) {
 	}
 }
 
+// TestFigure1Resumes journals Figure 1 and asserts a resumed Figure 1
+// restores all 18 runs, under discrete configurations that ConfigFor
+// rebuilds, and renders the same rows.
+func TestFigure1Resumes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	j1, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows1, err := Figure1(workloads.Test, &RunOptions{Journal: j1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j1.Close()
+
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if got := j2.Loaded(); got != 18 {
+		t.Fatalf("journal restored %d Figure 1 runs, want 18", got)
+	}
+	if r, ok := j2.Lookup("PageRank", "discrete-DRFrlx"); !ok || !reflect.DeepEqual(r.Cfg, memsys.Discrete(core.DRFrlx)) {
+		t.Error("restored Figure 1 run lost its discrete configuration")
+	}
+	progress := obs.NewProgress()
+	rows2, err := Figure1(workloads.Test, &RunOptions{Journal: j2, Progress: progress})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := progress.Snapshot().Restored; got != 18 {
+		t.Errorf("resumed Figure 1 restored %d runs, want 18", got)
+	}
+	if !reflect.DeepEqual(rows2, rows1) {
+		t.Errorf("resumed Figure 1 = %v, want %v", rows2, rows1)
+	}
+}
+
 // TestFigureWithPartialResults asserts Figure3With returns both the
 // error and a figure holding whatever succeeded. (Exercised indirectly
 // via RunAllWith's contract: buildFigure skips nil results.)
@@ -190,173 +241,142 @@ func TestFigureWithPartialResults(t *testing.T) {
 	}
 }
 
-// TestRetriesRecoverFlakyRun makes a trace builder panic on its first
-// two calls and succeed on the third, and asserts Retries turns the
-// flaky pair into a success — with the attempts visible in the journal.
-func TestRetriesRecoverFlakyRun(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-
-	good := workloads.Micro()[0]
-	var calls atomic.Int64
-	flaky := workloads.Entry{
-		Name: "flaky",
-		Build: func(s workloads.Scale) *trace.Trace {
-			if calls.Add(1) < 3 {
-				panic("transient build failure")
-			}
-			return good.Build(s)
-		},
-	}
-	res, err := RunAllWith([]workloads.Entry{flaky}, workloads.Test, []string{"GD0"}, &RunOptions{
-		Journal:      j,
-		Retries:      2,
-		RetryBackoff: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("flaky run should have recovered on the third attempt: %v", err)
-	}
-	if res["flaky"]["GD0"] == nil {
-		t.Fatal("recovered run missing from results")
-	}
-	if got := calls.Load(); got != 3 {
-		t.Errorf("builder called %d times, want 3", got)
-	}
-	if n, last := j.Attempts("flaky", "GD0"); n != 2 || !strings.Contains(last, "transient") {
-		t.Errorf("journal attempts = (%d, %q), want 2 transient failures", n, last)
-	}
-}
-
-// TestRetrySleepNeverOverflows: large attempt numbers must saturate at
-// the 5s cap (plus jitter), not overflow the shift into a negative
-// duration or panic computing the jitter.
-func TestRetrySleepNeverOverflows(t *testing.T) {
-	const max = 5*time.Second + 5*time.Second/2
-	for _, n := range []int{0, 1, 6, 37, 63, 200} {
-		for _, base := range []time.Duration{0, 100 * time.Millisecond, time.Hour} {
-			d := retrySleep(base, n)
-			if d <= 0 || d > max+time.Hour/2 {
-				t.Errorf("retrySleep(%s, %d) = %s, want positive and capped", base, n, d)
-			}
-			if base <= 100*time.Millisecond && d > max {
-				t.Errorf("retrySleep(%s, %d) = %s, want <= %s", base, n, d, max)
-			}
-		}
-	}
-}
-
-// TestRetryableClassifiesBySentinel: a deterministic failure whose
-// message happens to contain "timeout" (here, the workload's own name)
-// must not look transient and burn the retry budget.
-func TestRetryableClassifiesBySentinel(t *testing.T) {
-	var calls atomic.Int64
-	broken := workloads.Entry{
-		Name: "timeout-stress",
-		Build: func(workloads.Scale) *trace.Trace {
-			calls.Add(1)
-			return nil // "workload timeout-stress built a nil trace"
-		},
-	}
-	_, err := RunAllWith([]workloads.Entry{broken}, workloads.Test, []string{"GD0"}, &RunOptions{
-		Retries:      3,
-		RetryBackoff: time.Millisecond,
-	})
-	if err == nil {
-		t.Fatal("nil trace must fail the run")
-	}
-	if !strings.Contains(err.Error(), "timeout") {
-		t.Fatalf("test premise broken: error %q no longer mentions timeout", err)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Errorf("message-matched failure retried: builder called %d times, want 1", got)
-	}
-}
-
-// TestRetriesOnTimeout: a genuine wall-clock timeout is classified
-// retryable through the sentinel and consumes the budget.
-func TestRetriesOnTimeout(t *testing.T) {
+// wedged returns options that wedge warp 0 of every run from cycle 0,
+// with the watchdog window given (negative disables the watchdog).
+func wedged(t *testing.T, watchdog int64) *RunOptions {
+	t.Helper()
 	spec, err := fault.Parse("wedge:warp=0,from=0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	return &RunOptions{Faults: spec, WatchdogWindow: watchdog}
+}
+
+// wantEveryRunWedged asserts err joins exactly one "no forward progress"
+// failure for each named run ("workload/config"), in run order.
+func wantEveryRunWedged(t *testing.T, err error, runs []string) {
+	t.Helper()
+	joined, ok := err.(interface{ Unwrap() []error })
+	if !ok {
+		t.Fatalf("error = %v, want one joined failure per run", err)
+	}
+	errs := joined.Unwrap()
+	if len(errs) != len(runs) {
+		t.Fatalf("%d failures for %d runs:\n%v", len(errs), len(runs), err)
+	}
+	for i, e := range errs {
+		msg := e.Error()
+		if !strings.HasPrefix(msg, runs[i]+": ") || !strings.Contains(msg, "no forward progress") {
+			t.Errorf("failure %d = %q, want %s with no forward progress", i, strings.SplitN(msg, "\n", 2)[0], runs[i])
+		}
+	}
+}
+
+// TestRunOptionsReachEverySweep wedges a warp with a short watchdog and
+// asserts Figure 1, the stall sweep and the latency sweep all inject the
+// fault: every run fails with the watchdog's diagnosis.
+func TestRunOptionsReachEverySweep(t *testing.T) {
+	opts := wedged(t, 2000)
+
+	rows, err := Figure1(workloads.Test, opts)
+	var fig1 []string
+	for _, app := range workloads.Figure1Apps() {
+		fig1 = append(fig1, app.Name+"/discrete-DRF0", app.Name+"/discrete-DRFrlx")
+	}
+	wantEveryRunWedged(t, err, fig1)
+	if len(rows) != 0 {
+		t.Errorf("Figure 1 kept %d rows of wedged runs", len(rows))
+	}
+
+	h := *workloads.ByName("H")
+	_, err = StallSweep(h, workloads.Test, ConfigOrder, opts)
+	var stalls []string
+	for _, c := range ConfigOrder {
+		stalls = append(stalls, "H/"+c)
+	}
+	wantEveryRunWedged(t, err, stalls)
+
+	micro := workloads.Micro()[:2]
+	_, err = LatencySweep(micro, workloads.Test, ConfigOrder, opts)
+	var latency []string
+	for _, e := range micro {
+		for _, c := range ConfigOrder {
+			latency = append(latency, e.Name+"/"+c)
+		}
+	}
+	wantEveryRunWedged(t, err, latency)
+}
+
+// TestProbedSweepsIgnoreJournal fills a journal with the very pairs a
+// stall and a latency sweep run, and asserts both sweeps still simulate
+// (their sinks need the events) and return what they return without a
+// journal, leaving the journal as it was.
+func TestProbedSweepsIgnoreJournal(t *testing.T) {
+	j, err := OpenJournal(filepath.Join(t.TempDir(), "sweep.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	h := *workloads.ByName("H")
+	cfgs := []string{"GD0", "DDR"}
+	if _, err := RunAllWith([]workloads.Entry{h}, workloads.Test, cfgs, &RunOptions{Journal: j}); err != nil {
+		t.Fatal(err)
+	}
+	withJournal := &RunOptions{Journal: j}
+
+	plainRows, err := StallSweep(h, workloads.Test, cfgs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := StallSweep(h, workloads.Test, cfgs, withJournal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rows, plainRows) {
+		t.Errorf("stall sweep with a journal = %+v, want %+v", rows, plainRows)
+	}
+
+	plainCells, err := LatencySweep([]workloads.Entry{h}, workloads.Test, cfgs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := LatencySweep([]workloads.Entry{h}, workloads.Test, cfgs, withJournal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cells, plainCells) {
+		t.Error("latency sweep with a journal differs from the sweep without one")
+	}
+	if got := j.Loaded(); got != len(cfgs) {
+		t.Errorf("journal holds %d runs after the probed sweeps, want %d", got, len(cfgs))
+	}
+}
+
+// TestTimedOutRunReRunsOnResume times a wedged run out under a journal
+// and asserts a resumed sweep with the same journal simulates the pair
+// again instead of refusing it.
+func TestTimedOutRunReRunsOnResume(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
 	base := workloads.Micro()[0]
 	var calls atomic.Int64
 	counted := workloads.Entry{
-		Name: "wedged",
+		Name: base.Name,
 		Build: func(s workloads.Scale) *trace.Trace {
 			calls.Add(1)
 			return base.Build(s)
 		},
 	}
-	_, err = RunAllWith([]workloads.Entry{counted}, workloads.Test, []string{"GD0"}, &RunOptions{
-		Timeout:        80 * time.Millisecond,
-		Faults:         spec,
-		WatchdogWindow: -1,
-		Retries:        1,
-		RetryBackoff:   time.Millisecond,
-	})
-	if err == nil || !strings.Contains(err.Error(), "attempt 2/2") {
-		t.Fatalf("error = %v, want budget exhausted at attempt 2/2", err)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Errorf("wedged run attempted %d times, want 2 (timeout is retryable)", got)
-	}
-}
-
-// TestRetriesNotForDeterministicFailures asserts a failure that is
-// neither a panic nor a timeout is not retried, whatever the budget.
-func TestRetriesNotForDeterministicFailures(t *testing.T) {
-	var calls atomic.Int64
-	broken := workloads.Entry{
-		Name: "nil-trace",
-		Build: func(workloads.Scale) *trace.Trace {
-			calls.Add(1)
-			return nil
-		},
-	}
-	_, err := RunAllWith([]workloads.Entry{broken}, workloads.Test, []string{"GD0"}, &RunOptions{
-		Retries:      5,
-		RetryBackoff: time.Millisecond,
-	})
-	if err == nil {
-		t.Fatal("nil trace must fail the run")
-	}
-	if got := calls.Load(); got != 1 {
-		t.Errorf("deterministic failure retried: builder called %d times, want 1", got)
-	}
-}
-
-// TestRetriesExhaustionSurvivesResume exhausts a pair's retry budget in
-// one sweep and asserts a resumed sweep (same journal) fails the pair
-// immediately instead of burning the attempts again.
-func TestRetriesExhaustionSurvivesResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	var calls atomic.Int64
-	bomb := workloads.Entry{
-		Name: "bomb",
-		Build: func(workloads.Scale) *trace.Trace {
-			calls.Add(1)
-			panic("kaboom")
-		},
-	}
-	opts := func(j *Journal) *RunOptions {
-		return &RunOptions{Journal: j, Retries: 1, RetryBackoff: time.Millisecond}
-	}
+	entries := []workloads.Entry{counted}
 
 	j1, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunAllWith([]workloads.Entry{bomb}, workloads.Test, []string{"GD0"}, opts(j1))
-	if err == nil || !strings.Contains(err.Error(), "attempt 2/2") {
-		t.Fatalf("first sweep error = %v, want exhausted attempt 2/2", err)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("first sweep ran %d attempts, want 2", got)
+	opts := wedged(t, -1)
+	opts.Timeout = 50 * time.Millisecond
+	opts.Journal = j1
+	if _, err := RunAllWith(entries, workloads.Test, []string{"GD0"}, opts); err == nil || !strings.Contains(err.Error(), "timeout") {
+		t.Fatalf("error = %v, want a wall-clock timeout", err)
 	}
 	j1.Close()
 
@@ -365,29 +385,41 @@ func TestRetriesExhaustionSurvivesResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if n, _ := j2.Attempts("bomb", "GD0"); n != 2 {
-		t.Fatalf("reloaded journal reports %d attempts, want 2", n)
+	res, err := RunAllWith(entries, workloads.Test, []string{"GD0"}, &RunOptions{Journal: j2})
+	if err != nil {
+		t.Fatalf("resumed sweep: %v", err)
 	}
-	_, err = RunAllWith([]workloads.Entry{bomb}, workloads.Test, []string{"GD0"}, opts(j2))
-	if err == nil || !strings.Contains(err.Error(), "exhausted") {
-		t.Fatalf("resumed sweep error = %v, want a budget-exhausted refusal", err)
+	if r := res[base.Name]["GD0"]; r == nil || r.Read == nil {
+		t.Error("resumed sweep did not simulate the timed-out pair")
 	}
 	if got := calls.Load(); got != 2 {
-		t.Errorf("resumed sweep re-ran the pair: %d total attempts, want still 2", got)
+		t.Errorf("trace built %d times, want 2 (one per sweep)", got)
 	}
+}
 
-	// A bigger budget on resume grants exactly the difference.
-	j3, err := OpenJournal(path)
+// TestJournalSkipsAttemptLines opens a journal holding a failed-attempt
+// line in the format older journals wrote, and asserts the pair is
+// neither restored nor refused: a sweep simulates it.
+func TestJournalSkipsAttemptLines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	line := `{"kind":"attempt","workload":"H","config":"GD0","attempt":1,"error":"run timed out: system: H: wall-clock timeout 1ns exceeded"}` + "\n"
+	if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j3.Close()
-	_, err = RunAllWith([]workloads.Entry{bomb}, workloads.Test, []string{"GD0"},
-		&RunOptions{Journal: j3, Retries: 3, RetryBackoff: time.Millisecond})
-	if err == nil {
-		t.Fatal("bomb cannot succeed")
+	defer j.Close()
+	if got := j.Loaded(); got != 0 {
+		t.Fatalf("restored %d runs from an attempt line, want 0", got)
 	}
-	if got := calls.Load(); got != 4 {
-		t.Errorf("raised budget ran %d total attempts, want 4 (2 journaled + 2 new)", got)
+	h := *workloads.ByName("H")
+	res, err := RunAllWith([]workloads.Entry{h}, workloads.Test, []string{"GD0"}, &RunOptions{Journal: j})
+	if err != nil {
+		t.Fatalf("sweep over an attempt line: %v", err)
+	}
+	if r := res["H"]["GD0"]; r == nil || r.Read == nil || r.Stats.Cycles == 0 {
+		t.Error("the attempt line's pair was not simulated")
 	}
 }

@@ -21,30 +21,22 @@ type StallRow struct {
 // stall-attribution sink attached, returning the per-config breakdown.
 // It shows where each consistency model spends its waiting time — e.g.
 // DRF0's consistency stalls melting away under DRFrlx while memory
-// stalls stay put.
-func StallSweep(entry workloads.Entry, scale workloads.Scale, cfgNames []string) ([]StallRow, error) {
-	var rows []StallRow
-	for _, name := range cfgNames {
-		cfg, err := ConfigFor(name)
-		if err != nil {
-			return nil, err
-		}
-		sink := probe.NewStallSink()
-		hub := probe.NewHub()
-		hub.Attach(sink)
-		sys := system.New(cfg)
-		sys.AttachProbe(hub)
-		if err := sys.Load(entry.Build(scale)); err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", entry.Name, name, err)
-		}
-		res, err := sys.Run()
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", entry.Name, name, err)
-		}
-		if err := hub.Close(); err != nil {
-			return nil, err
-		}
-		rows = append(rows, StallRow{Config: name, Cycles: res.Stats.Cycles, Totals: sink.ReasonTotals()})
+// stalls stay put. opts applies as in LatencySweep.
+func StallSweep(entry workloads.Entry, scale workloads.Scale, cfgNames []string, opts *RunOptions) ([]StallRow, error) {
+	runs := grid([]workloads.Entry{entry}, cfgNames)
+	sinks := make([]*probe.StallSink, len(runs))
+	for i := range runs {
+		sinks[i] = probe.NewStallSink()
+		runs[i].hub = probe.NewHub()
+		runs[i].hub.Attach(sinks[i])
+	}
+	cycles := make([]int64, len(runs))
+	if err := sweep(runs, scale, opts, func(i int, res *system.Result) { cycles[i] = res.Stats.Cycles }); err != nil {
+		return nil, err
+	}
+	rows := make([]StallRow, len(runs))
+	for i, r := range runs {
+		rows[i] = StallRow{Config: r.cfg, Cycles: cycles[i], Totals: sinks[i].ReasonTotals()}
 	}
 	return rows, nil
 }

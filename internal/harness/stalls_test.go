@@ -12,7 +12,7 @@ func TestStallSweep(t *testing.T) {
 	if entry == nil {
 		t.Fatal("workload H missing")
 	}
-	rows, err := StallSweep(*entry, workloads.Test, ConfigOrder)
+	rows, err := StallSweep(*entry, workloads.Test, ConfigOrder, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestStallSweep(t *testing.T) {
 
 func TestStallSweepUnknownConfig(t *testing.T) {
 	entry := workloads.ByName("H")
-	if _, err := StallSweep(*entry, workloads.Test, []string{"XXX"}); err == nil {
+	if _, err := StallSweep(*entry, workloads.Test, []string{"XXX"}, nil); err == nil {
 		t.Error("expected error for unknown config")
 	}
 }

@@ -59,23 +59,6 @@ type Analysis struct {
 	Races [NumRaceKinds][][2]int
 }
 
-// Illegal reports whether the execution contains any illegal race under
-// the given model (DRF0/DRF1 forbid data races; DRFrlx forbids all five).
-func (a *Analysis) Illegal(m core.Model) bool {
-	if len(a.Races[DataRace]) > 0 {
-		return true
-	}
-	if m != core.DRFrlx {
-		return false
-	}
-	for _, k := range []RaceKind{CommutativeRace, NonOrderingRace, QuantumRace, SpeculativeRace} {
-		if len(a.Races[k]) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // canonicalInto folds a symmetric relation to unordered (i<j) pairs,
 // appending into buf (a reused arena buffer sliced to [:0]). Race
 // relations are sparse, so it extracts the set pairs with the word-

@@ -76,7 +76,6 @@ type Server struct {
 	progress *Progress
 	checks   *telemetry.Registry
 	traces   *rtrace.Tracer
-	extra    []func(w io.Writer)
 	extraOM  []func(w io.Writer, om bool)
 	handlers map[string]http.Handler
 
@@ -140,19 +139,11 @@ func (s *Server) SetChecks(r *telemetry.Registry) {
 	s.mu.Unlock()
 }
 
-// AddMetricsFunc registers an extra metrics source: f is invoked at the
+// AddMetricsOM registers an extra metrics source: f is invoked at the
 // end of every /metrics render (and WriteMetrics call) to append its own
-// exposition lines. Sources render in registration order.
-func (s *Server) AddMetricsFunc(f func(w io.Writer)) {
-	s.mu.Lock()
-	s.extra = append(s.extra, f)
-	s.mu.Unlock()
-}
-
-// AddMetricsOM registers a format-aware metrics source: f receives om
-// true when the scrape negotiated the OpenMetrics content type (so it
-// can attach exemplars) and false for the classic text format. It
-// renders alongside AddMetricsFunc sources in registration order.
+// exposition lines. It receives om true when the scrape negotiated the
+// OpenMetrics content type (so it can attach exemplars) and false for the
+// classic text format. Sources render in registration order.
 func (s *Server) AddMetricsOM(f func(w io.Writer, om bool)) {
 	s.mu.Lock()
 	s.extraOM = append(s.extraOM, f)
@@ -297,14 +288,9 @@ func (s *Server) writeMetrics(w io.Writer, om bool) {
 	}
 
 	s.mu.Lock()
-	extra := make([]func(w io.Writer), len(s.extra))
-	copy(extra, s.extra)
 	extraOM := make([]func(w io.Writer, om bool), len(s.extraOM))
 	copy(extraOM, s.extraOM)
 	s.mu.Unlock()
-	for _, f := range extra {
-		f(w)
-	}
 	for _, f := range extraOM {
 		f(w, om)
 	}

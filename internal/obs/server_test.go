@@ -202,7 +202,7 @@ func TestProgressLifecycle(t *testing.T) {
 // the shared mux, and the body bound applied to every request.
 func TestServerExtensions(t *testing.T) {
 	s := obs.NewServer()
-	s.AddMetricsFunc(func(w io.Writer) {
+	s.AddMetricsOM(func(w io.Writer, _ bool) {
 		io.WriteString(w, "rats_extra_metric 42\n")
 	})
 	s.Handle("/echo", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

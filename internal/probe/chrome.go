@@ -1,10 +1,10 @@
 package probe
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
+
+	"rats/internal/rtrace"
 )
 
 // ChromeTrace writes the event stream in the Chrome trace-event JSON
@@ -26,9 +26,7 @@ import (
 // Timestamps are simulated cycles written as microseconds (1 cycle =
 // 1 us), which keeps Perfetto's time axis readable.
 type ChromeTrace struct {
-	bw    *bufio.Writer
-	n     int
-	err   error
+	w     *rtrace.ChromeWriter
 	named map[[2]int]bool // (pid, tid) pairs that have a thread_name
 }
 
@@ -42,39 +40,7 @@ const (
 // NewChromeTrace builds the sink over w. The caller owns w and closes it
 // after Close (which writes the JSON trailer and flushes).
 func NewChromeTrace(w io.Writer) *ChromeTrace {
-	c := &ChromeTrace{bw: bufio.NewWriter(w), named: map[[2]int]bool{}}
-	_, c.err = c.bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")
-	return c
-}
-
-// chromeEvent is one trace-event record.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   int64          `json:"ts"`
-	Dur  int64          `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	ID   int64          `json:"id,omitempty"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-func (c *ChromeTrace) write(ev chromeEvent) {
-	if c.err != nil {
-		return
-	}
-	b, err := json.Marshal(ev)
-	if err != nil {
-		c.err = err
-		return
-	}
-	if c.n > 0 {
-		c.bw.WriteByte(',')
-	}
-	c.n++
-	_, c.err = c.bw.Write(b)
+	return &ChromeTrace{w: rtrace.NewChromeWriter(w), named: map[[2]int]bool{}}
 }
 
 // nameTrack emits the process/thread metadata for a track once.
@@ -82,20 +48,20 @@ func (c *ChromeTrace) nameTrack(pid, tid int, process, thread string) {
 	key := [2]int{pid, -1}
 	if !c.named[key] {
 		c.named[key] = true
-		c.write(chromeEvent{Name: "process_name", Ph: "M", Pid: pid,
+		c.w.WriteEvent(rtrace.ChromeEvent{Name: "process_name", Ph: "M", Pid: pid,
 			Args: map[string]any{"name": process}})
 	}
 	key = [2]int{pid, tid}
 	if !c.named[key] {
 		c.named[key] = true
-		c.write(chromeEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
+		c.w.WriteEvent(rtrace.ChromeEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
 			Args: map[string]any{"name": thread}})
 	}
 }
 
 func (c *ChromeTrace) instant(ev Event, pid, tid int, process, track, name string, args map[string]any) {
 	c.nameTrack(pid, tid, process, track)
-	c.write(chromeEvent{Name: name, Cat: ev.Comp.String(), Ph: "i",
+	c.w.WriteEvent(rtrace.ChromeEvent{Name: name, Cat: ev.Comp.String(), Ph: "i",
 		Ts: ev.Cycle, Pid: pid, Tid: tid, S: "t", Args: args})
 }
 
@@ -105,7 +71,7 @@ func (c *ChromeTrace) Emit(ev Event) {
 	case StallEnd:
 		// Render the whole stall as a complete duration slice.
 		c.nameTrack(chromePidWarps, ev.Warp, "warps", fmt.Sprintf("warp %d", ev.Warp))
-		c.write(chromeEvent{Name: ev.Reason.String(), Cat: "stall", Ph: "X",
+		c.w.WriteEvent(rtrace.ChromeEvent{Name: ev.Reason.String(), Cat: "stall", Ph: "X",
 			Ts: ev.Cycle - ev.Arg, Dur: ev.Arg, Pid: chromePidWarps, Tid: ev.Warp,
 			Args: map[string]any{"node": ev.Node}})
 	case StallBegin:
@@ -138,12 +104,12 @@ func (c *ChromeTrace) Emit(ev Event) {
 			fmt.Sprintf("%s %d", ev.Comp, ev.Node), ev.Kind.String(), args)
 	case NoCEnqueue:
 		c.nameTrack(chromePidNoC, ev.Node, "NoC", fmt.Sprintf("node %d", ev.Node))
-		c.write(chromeEvent{Name: "msg", Cat: "noc", Ph: "b", Ts: ev.Cycle,
+		c.w.WriteEvent(rtrace.ChromeEvent{Name: "msg", Cat: "noc", Ph: "b", Ts: ev.Cycle,
 			Pid: chromePidNoC, Tid: ev.Node, ID: ev.Msg,
 			Args: map[string]any{"src": ev.Node, "dst": ev.Arg, "flits": ev.Aux}})
 	case NoCDeliver:
 		c.nameTrack(chromePidNoC, ev.Node, "NoC", fmt.Sprintf("node %d", ev.Node))
-		c.write(chromeEvent{Name: "msg", Cat: "noc", Ph: "e", Ts: ev.Cycle,
+		c.w.WriteEvent(rtrace.ChromeEvent{Name: "msg", Cat: "noc", Ph: "e", Ts: ev.Cycle,
 			Pid: chromePidNoC, Tid: ev.Node, ID: ev.Msg})
 	case NoCHop:
 		// Per-hop detail is too fine for the timeline; skip.
@@ -151,12 +117,4 @@ func (c *ChromeTrace) Emit(ev Event) {
 }
 
 // Close writes the JSON trailer and flushes.
-func (c *ChromeTrace) Close() error {
-	if c.err != nil {
-		return c.err
-	}
-	if _, err := c.bw.WriteString("]}\n"); err != nil {
-		return err
-	}
-	return c.bw.Flush()
-}
+func (c *ChromeTrace) Close() error { return c.w.Close() }

@@ -6,10 +6,10 @@ import (
 	"io"
 )
 
-// chromeEvent mirrors the probe layer's trace-event record so service
-// traces and simulator traces open in the same Perfetto/chrome://tracing
-// tooling with identical field layout.
-type chromeEvent struct {
+// ChromeEvent is one record of the Chrome trace-event JSON format. Both
+// the simulator's probe trace sink and WriteChrome emit it, so simulator
+// and service traces open in the same Perfetto/chrome://tracing tooling.
+type ChromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -22,6 +22,51 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
+// ChromeWriter encodes a stream of ChromeEvents as one trace-event JSON
+// document. The first error sticks: later events are dropped and Close
+// returns it.
+type ChromeWriter struct {
+	bw  *bufio.Writer
+	n   int
+	err error
+}
+
+// NewChromeWriter starts a document on w. The caller owns w and closes it
+// after Close.
+func NewChromeWriter(w io.Writer) *ChromeWriter {
+	c := &ChromeWriter{bw: bufio.NewWriter(w)}
+	_, c.err = c.bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")
+	return c
+}
+
+// WriteEvent appends one event to the document.
+func (c *ChromeWriter) WriteEvent(ev ChromeEvent) {
+	if c.err != nil {
+		return
+	}
+	b, err := json.Marshal(ev)
+	if err != nil {
+		c.err = err
+		return
+	}
+	if c.n > 0 {
+		c.bw.WriteByte(',')
+	}
+	c.n++
+	_, c.err = c.bw.Write(b)
+}
+
+// Close writes the JSON trailer and flushes.
+func (c *ChromeWriter) Close() error {
+	if c.err != nil {
+		return c.err
+	}
+	if _, err := c.bw.WriteString("]}\n"); err != nil {
+		return err
+	}
+	return c.bw.Flush()
+}
+
 const chromePidServe = 1
 
 // WriteChrome renders traces in the Chrome trace-event JSON format
@@ -31,42 +76,20 @@ const chromePidServe = 1
 // for fixed inputs: events follow trace and span order, and args maps
 // marshal with sorted keys.
 func WriteChrome(w io.Writer, traces ...*TraceData) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["); err != nil {
-		return err
-	}
+	cw := NewChromeWriter(w)
 	var base int64
 	for i, td := range traces {
 		if i == 0 || td.StartUnixUs < base {
 			base = td.StartUnixUs
 		}
 	}
-	n := 0
-	emit := func(ev chromeEvent) error {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		if n > 0 {
-			if err := bw.WriteByte(','); err != nil {
-				return err
-			}
-		}
-		n++
-		_, err = bw.Write(b)
-		return err
-	}
-	if err := emit(chromeEvent{Name: "process_name", Ph: "M", Pid: chromePidServe,
-		Args: map[string]any{"name": "ratsserve"}}); err != nil {
-		return err
-	}
+	cw.WriteEvent(ChromeEvent{Name: "process_name", Ph: "M", Pid: chromePidServe,
+		Args: map[string]any{"name": "ratsserve"}})
 	for i, td := range traces {
 		tid := i + 1
 		off := td.StartUnixUs - base
-		if err := emit(chromeEvent{Name: "thread_name", Ph: "M", Pid: chromePidServe, Tid: tid,
-			Args: map[string]any{"name": "trace " + td.TraceID}}); err != nil {
-			return err
-		}
+		cw.WriteEvent(ChromeEvent{Name: "thread_name", Ph: "M", Pid: chromePidServe, Tid: tid,
+			Args: map[string]any{"name": "trace " + td.TraceID}})
 		rootArgs := map[string]any{"trace_id": td.TraceID, "status": td.Status}
 		if td.Kind != "" {
 			rootArgs["kind"] = td.Kind
@@ -74,23 +97,16 @@ func WriteChrome(w io.Writer, traces ...*TraceData) error {
 		for _, a := range td.Attrs {
 			rootArgs[a.K] = a.V
 		}
-		if err := emit(chromeEvent{Name: td.Name, Cat: "request", Ph: "X",
-			Ts: off, Dur: td.DurationUs, Pid: chromePidServe, Tid: tid, Args: rootArgs}); err != nil {
-			return err
-		}
+		cw.WriteEvent(ChromeEvent{Name: td.Name, Cat: "request", Ph: "X",
+			Ts: off, Dur: td.DurationUs, Pid: chromePidServe, Tid: tid, Args: rootArgs})
 		for _, ph := range td.Phases {
-			if err := emitSpan(emit, &ph, off, tid, "phase"); err != nil {
-				return err
-			}
+			writeSpan(cw, &ph, off, tid, "phase")
 		}
 	}
-	if _, err := bw.WriteString("]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return cw.Close()
 }
 
-func emitSpan(emit func(chromeEvent) error, sp *SpanData, off int64, tid int, cat string) error {
+func writeSpan(cw *ChromeWriter, sp *SpanData, off int64, tid int, cat string) {
 	var args map[string]any
 	if len(sp.Attrs) > 0 {
 		args = make(map[string]any, len(sp.Attrs))
@@ -98,7 +114,7 @@ func emitSpan(emit func(chromeEvent) error, sp *SpanData, off int64, tid int, ca
 			args[a.K] = a.V
 		}
 	}
-	ev := chromeEvent{Name: sp.Name, Cat: cat, Ph: "X",
+	ev := ChromeEvent{Name: sp.Name, Cat: cat, Ph: "X",
 		Ts: off + sp.StartUs, Dur: sp.EndUs - sp.StartUs,
 		Pid: chromePidServe, Tid: tid, Args: args}
 	if ev.Dur == 0 {
@@ -106,9 +122,7 @@ func emitSpan(emit func(chromeEvent) error, sp *SpanData, off int64, tid int, ca
 		// keep them visible as 1us slivers.
 		ev.Dur = 1
 	}
-	if err := emit(ev); err != nil {
-		return err
-	}
+	cw.WriteEvent(ev)
 	for _, e := range sp.Events {
 		var eargs map[string]any
 		if len(e.Attrs) > 0 {
@@ -117,17 +131,12 @@ func emitSpan(emit func(chromeEvent) error, sp *SpanData, off int64, tid int, ca
 				eargs[a.K] = a.V
 			}
 		}
-		if err := emit(chromeEvent{Name: e.Name, Cat: cat, Ph: "i",
-			Ts: off + e.AtUs, Pid: chromePidServe, Tid: tid, S: "t", Args: eargs}); err != nil {
-			return err
-		}
+		cw.WriteEvent(ChromeEvent{Name: e.Name, Cat: cat, Ph: "i",
+			Ts: off + e.AtUs, Pid: chromePidServe, Tid: tid, S: "t", Args: eargs})
 	}
 	for i := range sp.Children {
-		if err := emitSpan(emit, &sp.Children[i], off, tid, "span"); err != nil {
-			return err
-		}
+		writeSpan(cw, &sp.Children[i], off, tid, "span")
 	}
-	return nil
 }
 
 // wideEvent is the canonical per-request access-log line: everything a

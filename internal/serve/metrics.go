@@ -101,7 +101,8 @@ func (s *Service) Stats() Stats {
 }
 
 // WriteMetrics renders the service counters in classic Prometheus text
-// exposition, for mounting on the obs server via AddMetricsFunc.
+// exposition; WriteMetricsTo is the form the obs server mounts via
+// AddMetricsOM.
 func (s *Service) WriteMetrics(w io.Writer) {
 	s.WriteMetricsTo(w, false)
 }

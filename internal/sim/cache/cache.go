@@ -59,12 +59,6 @@ func NewArray(sets, ways int) *Array {
 	return &Array{sets: sets, ways: ways, lines: make([]Line, sets*ways)}
 }
 
-// Sets returns the number of sets.
-func (a *Array) Sets() int { return a.sets }
-
-// Ways returns the associativity.
-func (a *Array) Ways() int { return a.ways }
-
 func (a *Array) set(lineAddr uint64) []Line {
 	s := int(lineAddr % uint64(a.sets))
 	return a.lines[s*a.ways : (s+1)*a.ways]
