@@ -1,15 +1,81 @@
 package harness
 
 import (
+	"bytes"
+	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"rats/internal/core"
+	"rats/internal/energy"
 	"rats/internal/sim/memsys"
+	"rats/internal/stats"
 	"rats/internal/workloads"
 )
+
+var update = flag.Bool("update", false, "rewrite the simulator goldens in testdata")
+
+// checkGolden compares rows, one JSON line each, with testdata/name: the
+// exact simulated results, so any change to the simulator's timing or
+// counting shows here. Regenerate with
+// `go test ./internal/harness -run 'Figure1Shape|Figure3Shape' -update`
+// only for a change meant to move them, and review the diff.
+func checkGolden[T any](t *testing.T, name string, rows []T) {
+	t.Helper()
+	var b bytes.Buffer
+	for _, r := range rows {
+		line, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(line)
+		b.WriteByte('\n')
+	}
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update): %v", err)
+	}
+	gl, wl := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("%s: simulated results drifted at line %d:\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
+		}
+	}
+	if len(gl) != len(wl) {
+		t.Fatalf("%s: %d rows, golden has %d", path, len(gl)-1, len(wl)-1)
+	}
+}
+
+// goldenRun is one simulation's pinned outcome.
+type goldenRun struct {
+	Workload, Config string
+	Stats            stats.Stats
+	Energy           energy.Breakdown
+}
+
+// goldenRuns lists every run of a figure in row and column order.
+func goldenRuns(f *Figure) []goldenRun {
+	var out []goldenRun
+	for _, wl := range f.Order {
+		for _, c := range ConfigOrder {
+			r := f.Results[wl][c]
+			out = append(out, goldenRun{Workload: wl, Config: c, Stats: r.Stats, Energy: r.Energy})
+		}
+	}
+	return out
+}
 
 func TestConfigFor(t *testing.T) {
 	for name, want := range map[string]memsys.Config{
@@ -117,6 +183,7 @@ func TestFigure1Shape(t *testing.T) {
 	if !strings.Contains(out, "PageRank") || !strings.Contains(out, "#") {
 		t.Error("Figure 1 render broken")
 	}
+	checkGolden(t, "figure1_test_scale.jsonl", rows)
 }
 
 func TestFigure3ShapeAndSummary(t *testing.T) {
@@ -181,6 +248,8 @@ func TestFigure3ShapeAndSummary(t *testing.T) {
 	if !strings.Contains(fig3.Render(), "normalized") {
 		t.Error("figure render missing normalization")
 	}
+	checkGolden(t, "figure3_test_scale.jsonl", goldenRuns(fig3))
+	checkGolden(t, "figure4_test_scale.jsonl", goldenRuns(fig4))
 }
 
 func TestRunAllErrorPropagation(t *testing.T) {

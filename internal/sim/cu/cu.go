@@ -88,7 +88,6 @@ type CU struct {
 	// reuses the backing array, pre-sized to the configured queue depth).
 	coalescer []*memsys.Txn
 	coalHead  int
-	txnSeq    *int64
 
 	// txnFree recycles completed transactions; lineScratch is the reusable
 	// buffer linesOf dedupes into (valid until its next call).
@@ -118,8 +117,8 @@ type CU struct {
 }
 
 // New builds a CU on the given node over its L1.
-func New(env *memsys.Env, node int, l1 *memsys.L1, txnSeq *int64) *CU {
-	return &CU{env: env, node: node, l1: l1, txnSeq: txnSeq, st: env.Stats,
+func New(env *memsys.Env, node int, l1 *memsys.L1) *CU {
+	return &CU{env: env, node: node, l1: l1, st: env.Stats,
 		coalescer: make([]*memsys.Txn, 0, env.Cfg.CoalescerQueue)}
 }
 
@@ -398,8 +397,8 @@ func spanOpOf(t *memsys.Txn) probe.SpanOp {
 }
 
 func (c *CU) push(w *warpState, t *memsys.Txn) {
-	*c.txnSeq++
-	t.ID = *c.txnSeq
+	c.env.TxnSeq++
+	t.ID = c.env.TxnSeq
 	t.Warp = w.id
 	if c.coalHead > 0 && len(c.coalescer) == cap(c.coalescer) {
 		n := copy(c.coalescer, c.coalescer[c.coalHead:])

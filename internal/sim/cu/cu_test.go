@@ -1,90 +1,30 @@
 package cu
 
 import (
-	"container/heap"
 	"testing"
 
 	"rats/internal/core"
 	"rats/internal/sim/memsys"
-	"rats/internal/sim/noc"
-	"rats/internal/stats"
 	"rats/internal/trace"
 )
 
-// harness wires one CU to a real L1/L2/mesh so scheduler behaviour can be
-// observed cycle by cycle.
+// harness wires one CU to the memory side so scheduler behaviour can
+// be observed cycle by cycle.
 type harness struct {
-	cfg   memsys.Config
-	env   *memsys.Env
+	*memsys.Memory
 	cu    *CU
-	l1s   []*memsys.L1
-	l2s   []*memsys.L2Bank
-	mesh  *noc.Mesh
-	st    stats.Stats
 	cycle int64
-	evs   evq
-	seq   int64
-	txn   int64
 }
-
-type ev struct {
-	cycle, seq int64
-	d          memsys.Deferred
-}
-type evq []ev
-
-func (q evq) Len() int { return len(q) }
-func (q evq) Less(i, j int) bool {
-	if q[i].cycle != q[j].cycle {
-		return q[i].cycle < q[j].cycle
-	}
-	return q[i].seq < q[j].seq
-}
-func (q evq) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *evq) Push(x any)   { *q = append(*q, x.(ev)) }
-func (q *evq) Pop() any     { old := *q; n := len(old); v := old[n-1]; *q = old[:n-1]; return v }
 
 func newHarness(model core.Model) *harness {
-	h := &harness{cfg: memsys.Default(memsys.ProtoGPU, model)}
-	h.mesh = noc.NewMesh(h.cfg.MeshWidth, h.cfg.MeshHeight, h.cfg.HopLat, &h.st)
-	h.env = &memsys.Env{
-		Cfg: &h.cfg, Mesh: h.mesh, Stats: &h.st, Values: map[uint64]int64{},
-		At: func(c int64, d memsys.Deferred) {
-			if c <= h.cycle {
-				c = h.cycle + 1
-			}
-			h.seq++
-			heap.Push(&h.evs, ev{cycle: c, seq: h.seq, d: d})
-		},
-	}
-	for n := 0; n < h.cfg.Nodes(); n++ {
-		l1 := memsys.NewL1(h.env, n)
-		l2 := memsys.NewL2Bank(h.env, n)
-		h.l1s = append(h.l1s, l1)
-		h.l2s = append(h.l2s, l2)
-		node := n
-		h.mesh.SetReceiver(n, func(m noc.Message) {
-			if memsys.IsL2Request(m.Payload) {
-				h.l2s[node].Handle(h.cycle, m.Payload)
-				return
-			}
-			h.l1s[node].Handle(h.cycle, m.Payload)
-		})
-	}
-	h.cu = New(h.env, 0, h.l1s[0], &h.txn)
+	h := &harness{Memory: memsys.NewMemory(memsys.Default(memsys.ProtoGPU, model))}
+	h.cu = New(&h.Env, 0, h.L1s[0])
 	return h
 }
 
 func (h *harness) step() {
 	h.cycle++
-	for h.evs.Len() > 0 && h.evs[0].cycle <= h.cycle {
-		e := heap.Pop(&h.evs).(ev)
-		e.d.Fire(h.cycle)
-	}
-	h.mesh.Tick(h.cycle)
-	for _, l1 := range h.l1s {
-		l1.Tick(h.cycle)
-	}
+	h.Step(h.cycle)
 	h.cu.Tick(h.cycle, false)
 }
 
@@ -108,8 +48,8 @@ func TestComputeOccupiesWarp(t *testing.T) {
 	if h.cycle < 20 {
 		t.Errorf("two 10-cycle computes finished in %d cycles", h.cycle)
 	}
-	if h.st.CoreOps != 2 {
-		t.Errorf("core ops = %d", h.st.CoreOps)
+	if h.Stats.CoreOps != 2 {
+		t.Errorf("core ops = %d", h.Stats.CoreOps)
 	}
 }
 
@@ -140,8 +80,8 @@ func TestSCAtomicFencesWarp(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.step()
 	}
-	if h.st.CoreOps != 1 {
-		t.Errorf("fence leaked: %d ops issued while atomic outstanding", h.st.CoreOps)
+	if h.Stats.CoreOps != 1 {
+		t.Errorf("fence leaked: %d ops issued while atomic outstanding", h.Stats.CoreOps)
 	}
 	h.runUntilDone(t, 2000)
 }
@@ -156,11 +96,11 @@ func TestRelaxedAtomicsPipelined(t *testing.T) {
 		h.step()
 	}
 	// Both relaxed atomics issue back to back (atomic MLP = 2).
-	if h.st.CoreOps != 2 {
-		t.Errorf("relaxed atomics did not pipeline: %d issued", h.st.CoreOps)
+	if h.Stats.CoreOps != 2 {
+		t.Errorf("relaxed atomics did not pipeline: %d issued", h.Stats.CoreOps)
 	}
 	h.runUntilDone(t, 2000)
-	if h.env.Read(0x4000) != 1 || h.env.Read(0x4040) != 1 {
+	if h.Read(0x4000) != 1 || h.Read(0x4040) != 1 {
 		t.Error("atomics lost")
 	}
 }

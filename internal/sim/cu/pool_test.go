@@ -21,8 +21,8 @@ func TestTxnPoolRecycles(t *testing.T) {
 	if n := len(h.cu.txnFree); n == 0 {
 		t.Fatal("free list empty after completions")
 	}
-	if h.txn != 8 {
-		t.Fatalf("issued %d txns", h.txn)
+	if h.TxnSeq != 8 {
+		t.Fatalf("issued %d txns", h.TxnSeq)
 	}
 	// Serialised loads: at most one in flight, so the pool should have
 	// served all but the first from recycled transactions.

@@ -25,8 +25,7 @@ const (
 // expressed as tagged fields on this by-value struct instead of
 // closures, so scheduling them allocates nothing; only the cold paths
 // (fault-injected stalls, ownership-yield races) pay for a closure via
-// the fn case. Drivers (the system event loop, test rigs) just store the
-// value and call Fire at the scheduled cycle.
+// the fn case. Memory.Step fires each one at its scheduled cycle.
 type Deferred struct {
 	kind  deferKind
 	fn    func(int64)
@@ -37,8 +36,8 @@ type Deferred struct {
 	pkt   noc.Payload
 }
 
-// Fire runs the continuation at the given cycle.
-func (d *Deferred) Fire(cycle int64) {
+// fire runs the continuation at the given cycle.
+func (d *Deferred) fire(cycle int64) {
 	switch d.kind {
 	case deferFn:
 		d.fn(cycle)

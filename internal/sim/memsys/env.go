@@ -5,12 +5,13 @@ import (
 	"rats/internal/fault"
 	"rats/internal/probe"
 	"rats/internal/sim/noc"
+	"rats/internal/sim/sched"
 	"rats/internal/stats"
 )
 
 // Env bundles the shared infrastructure every memory-system component
 // uses: the interconnect, the statistics sink, the global functional
-// value layer, and the event scheduler provided by the system driver.
+// value layer, and the clock (At) that Memory steps.
 type Env struct {
 	Cfg   *Config
 	Mesh  *noc.Mesh
@@ -21,10 +22,6 @@ type Env struct {
 	// owning L1 under DeNovo — so workload functional checks hold under
 	// every configuration.
 	Values map[uint64]int64
-	// At schedules a deferred continuation to run at the given cycle
-	// (>= current). Same-cycle continuations must fire in scheduling
-	// order (FIFO) — protocol handlers rely on it.
-	At func(cycle int64, d Deferred)
 	// Probe is the observability hub, or nil when disabled. Emission
 	// sites guard with a nil check so disabled runs pay nothing.
 	Probe *probe.Hub
@@ -34,6 +31,26 @@ type Env struct {
 	// WarpSeq numbers warps globally in placement order (probe warp
 	// ids).
 	WarpSeq int
+	// TxnSeq numbers transactions globally in issue order (the last id
+	// handed out; ids start at 1).
+	TxnSeq int64
+
+	// now is the cycle Memory.Step last processed; events holds the
+	// continuations At scheduled.
+	now    int64
+	events sched.Queue[Deferred]
+}
+
+// At schedules a deferred continuation to fire at the given cycle. A
+// cycle at or before the one being processed is clamped to the next
+// cycle, so handlers never re-enter the current cycle's processing;
+// continuations for the same cycle fire in scheduling order (FIFO) —
+// protocol handlers rely on it.
+func (e *Env) At(cycle int64, d Deferred) {
+	if cycle <= e.now {
+		cycle = e.now + 1
+	}
+	e.events.Push(cycle, d)
 }
 
 // ApplyAtomic performs an atomic on the value layer and returns the old

@@ -53,8 +53,8 @@ type L1 struct {
 	flushCbs []func(int64)
 }
 
-// NewL1 builds the controller for a node.
-func NewL1(env *Env, node int) *L1 {
+// newL1 builds the controller for a node.
+func newL1(env *Env, node int) *L1 {
 	return &L1{
 		env:            env,
 		node:           node,
@@ -287,8 +287,8 @@ func (l *L1) yieldOwnership(cycle int64, m noc.Payload) {
 		noc.Payload{Kind: pkOwnResp, Line: m.Line, Txn: m.Txn})
 }
 
-// Handle processes a delivered network message.
-func (l *L1) Handle(cycle int64, p noc.Payload) {
+// handle processes a delivered network message.
+func (l *L1) handle(cycle int64, p noc.Payload) {
 	cfg := l.env.Cfg
 	st := l.env.Stats
 	switch p.Kind {
@@ -383,9 +383,9 @@ func (l *L1) Handle(cycle int64, p noc.Payload) {
 	}
 }
 
-// Tick drains the store buffer (one entry per cycle) and fires flush
+// tick drains the store buffer (one entry per cycle) and fires flush
 // callbacks once drained.
-func (l *L1) Tick(cycle int64) {
+func (l *L1) tick(cycle int64) {
 	cfg := l.env.Cfg
 	st := l.env.Stats
 	if entry, ok := l.sb.Peek(); ok {
@@ -449,12 +449,12 @@ func (l *L1) Flush(cycle int64, cb func(int64)) {
 // SBDrained reports whether the store buffer is empty and acknowledged.
 func (l *L1) SBDrained() bool { return l.sb.Drained() }
 
-// NextWork returns the earliest cycle this controller acts on its own:
+// nextWork returns the earliest cycle this controller acts on its own:
 // the store buffer drains (or retries) one entry per cycle while it
 // holds pending or unacked stores. Everything else the L1 does — MSHR
 // fills, forwarded requests, flush completion — happens in response to
 // deliveries or scheduled events, which are processed cycles already.
-func (l *L1) NextWork(cycle int64) int64 {
+func (l *L1) nextWork(cycle int64) int64 {
 	if !l.sb.Drained() {
 		return cycle + 1
 	}

@@ -27,8 +27,8 @@ type L2Bank struct {
 	dramFree int64
 }
 
-// NewL2Bank builds the bank at the given node.
-func NewL2Bank(env *Env, node int) *L2Bank {
+// newL2Bank builds the bank at the given node.
+func newL2Bank(env *Env, node int) *L2Bank {
 	return &L2Bank{
 		env:      env,
 		node:     node,
@@ -89,21 +89,14 @@ func (b *L2Bank) send(cycle int64, dst, flits int, txn int64, p noc.Payload) {
 	b.env.Mesh.Send(cycle, noc.Message{Src: b.node, Dst: dst, Flits: flits, Txn: txn, Payload: p})
 }
 
-// NextWork implements the wake-hint contract for the driver's
-// fast-forward. An L2 bank has no clocked loop at all: it acts only
-// when Handle delivers a request (a mesh arrival) or a deferred
-// continuation fires (a scheduled event), and both of those force the
-// driver to process the cycle anyway. Hence always -1.
-func (b *L2Bank) NextWork(cycle int64) int64 { return -1 }
-
-// Handle processes one delivered network request at the given cycle.
-func (b *L2Bank) Handle(cycle int64, p noc.Payload) {
+// handle processes one delivered network request at the given cycle.
+func (b *L2Bank) handle(cycle int64, p noc.Payload) {
 	if f := b.env.Fault; f != nil {
 		if until := f.L2StallUntil(cycle); until > cycle {
 			// Injected bank stall storm: the bank is unavailable until the
 			// window ends; deferral preserves arrival order (same-cycle
 			// events run FIFO), so this perturbs timing only.
-			b.env.At(until, deferCall(func(c int64) { b.Handle(c, p) }))
+			b.env.At(until, deferCall(func(c int64) { b.handle(c, p) }))
 			return
 		}
 	}

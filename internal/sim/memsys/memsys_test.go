@@ -1,104 +1,30 @@
 package memsys
 
 import (
-	"container/heap"
 	"testing"
 
 	"rats/internal/core"
-	"rats/internal/sim/noc"
-	"rats/internal/stats"
 )
 
-// rig is a minimal harness driving L1s and L2 banks without the CU layer,
-// so protocol corner cases can be exercised directly.
+// rig drives the memory side without the CU layer, so protocol corner
+// cases can be exercised directly.
 type rig struct {
-	cfg   Config
-	env   *Env
-	mesh  *noc.Mesh
-	l1s   []*L1
-	l2s   []*L2Bank
-	st    stats.Stats
+	*Memory
 	cycle int64
-	evs   evq
-	seq   int64
 }
-
-type rigEvent struct {
-	cycle int64
-	seq   int64
-	d     Deferred
-}
-type evq []rigEvent
-
-func (q evq) Len() int { return len(q) }
-func (q evq) Less(i, j int) bool {
-	if q[i].cycle != q[j].cycle {
-		return q[i].cycle < q[j].cycle
-	}
-	return q[i].seq < q[j].seq
-}
-func (q evq) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *evq) Push(x any)   { *q = append(*q, x.(rigEvent)) }
-func (q *evq) Pop() any     { old := *q; n := len(old); v := old[n-1]; *q = old[:n-1]; return v }
 
 func newRig(proto Protocol) *rig {
-	r := &rig{cfg: Default(proto, core.DRFrlx)}
-	r.mesh = noc.NewMesh(r.cfg.MeshWidth, r.cfg.MeshHeight, r.cfg.HopLat, &r.st)
-	r.env = &Env{
-		Cfg: &r.cfg, Mesh: r.mesh, Stats: &r.st, Values: map[uint64]int64{},
-		At: func(c int64, d Deferred) {
-			if c <= r.cycle {
-				c = r.cycle + 1
-			}
-			r.seq++
-			heap.Push(&r.evs, rigEvent{cycle: c, seq: r.seq, d: d})
-		},
-	}
-	for n := 0; n < r.cfg.Nodes(); n++ {
-		l1 := NewL1(r.env, n)
-		l2 := NewL2Bank(r.env, n)
-		r.l1s = append(r.l1s, l1)
-		r.l2s = append(r.l2s, l2)
-		node := n
-		r.mesh.SetReceiver(n, func(m noc.Message) {
-			if IsL2Request(m.Payload) {
-				r.l2s[node].Handle(r.cycle, m.Payload)
-				return
-			}
-			r.l1s[node].Handle(r.cycle, m.Payload)
-		})
-	}
-	return r
-}
-
-// step advances one cycle.
-func (r *rig) step() {
-	r.cycle++
-	for r.evs.Len() > 0 && r.evs[0].cycle <= r.cycle {
-		e := heap.Pop(&r.evs).(rigEvent)
-		e.d.Fire(r.cycle)
-	}
-	r.mesh.Tick(r.cycle)
-	for _, l1 := range r.l1s {
-		l1.Tick(r.cycle)
-	}
+	return &rig{Memory: NewMemory(Default(proto, core.DRFrlx))}
 }
 
 // run steps until everything quiesces (or the bound trips).
 func (r *rig) run(t *testing.T, bound int64) {
 	t.Helper()
 	for i := int64(0); i < bound; i++ {
-		r.step()
-		if r.evs.Len() == 0 && !r.mesh.Pending() {
-			idle := true
-			for _, l1 := range r.l1s {
-				if !l1.Quiesced() {
-					idle = false
-				}
-			}
-			if idle {
-				return
-			}
+		r.cycle++
+		r.Step(r.cycle)
+		if r.Idle() {
+			return
 		}
 	}
 	t.Fatalf("rig did not quiesce within %d cycles", bound)
@@ -120,11 +46,11 @@ func atomicTxn(addr uint64, done *int) *Txn {
 func TestDeferredOwnershipYield(t *testing.T) {
 	r := newRig(ProtoDeNovo)
 	const addr = 0x4000
-	line := addr / r.cfg.LineSize
+	line := addr / r.Cfg.LineSize
 	done := 0
 	// Back-to-back issues from three different nodes.
 	for _, node := range []int{3, 7, 9} {
-		if !r.l1s[node].TryIssue(r.cycle, atomicTxn(addr, &done)) {
+		if !r.L1s[node].TryIssue(r.cycle, atomicTxn(addr, &done)) {
 			t.Fatal("issue rejected")
 		}
 	}
@@ -132,11 +58,11 @@ func TestDeferredOwnershipYield(t *testing.T) {
 	if done != 3 {
 		t.Fatalf("completed %d atomics, want 3", done)
 	}
-	if got := r.env.Read(addr); got != 3 {
+	if got := r.Read(addr); got != 3 {
 		t.Fatalf("value = %d, want 3", got)
 	}
 	owners := 0
-	for _, l1 := range r.l1s {
+	for _, l1 := range r.L1s {
 		if l1.OwnsLine(line) {
 			owners++
 		}
@@ -144,7 +70,7 @@ func TestDeferredOwnershipYield(t *testing.T) {
 	if owners != 1 {
 		t.Fatalf("%d L1s own the line, want exactly 1", owners)
 	}
-	if r.st.RemoteL1Forwards < 1 {
+	if r.Stats.RemoteL1Forwards < 1 {
 		t.Error("expected forwarded ownership")
 	}
 }
@@ -154,28 +80,28 @@ func TestDeferredOwnershipYield(t *testing.T) {
 func TestReadThenWriteUpgrade(t *testing.T) {
 	r := newRig(ProtoDeNovo)
 	const addr = 0x9000
-	line := addr / r.cfg.LineSize
+	line := addr / r.Cfg.LineSize
 	loads, atomics := 0, 0
-	r.l1s[0].TryIssue(r.cycle, &Txn{
+	r.L1s[0].TryIssue(r.cycle, &Txn{
 		Kind: TxnLoad, Addr: addr, Class: core.Data, AOp: core.OpLoad,
 		Done: DoneFunc(func(int64, int64) { loads++ }),
 	})
 	// Same cycle: an atomic to the same line joins the read entry.
-	if !r.l1s[0].TryIssue(r.cycle, atomicTxn(addr, &atomics)) {
+	if !r.L1s[0].TryIssue(r.cycle, atomicTxn(addr, &atomics)) {
 		t.Fatal("atomic join rejected")
 	}
 	r.run(t, 3000)
 	if loads != 1 || atomics != 1 {
 		t.Fatalf("loads=%d atomics=%d", loads, atomics)
 	}
-	if !r.l1s[0].OwnsLine(line) {
+	if !r.L1s[0].OwnsLine(line) {
 		t.Error("line should end up owned after the upgrade")
 	}
-	if r.st.OwnershipRequests < 1 {
+	if r.Stats.OwnershipRequests < 1 {
 		t.Error("upgrade must issue an ownership request")
 	}
-	if r.env.Read(addr) != 1 {
-		t.Errorf("value = %d", r.env.Read(addr))
+	if r.Read(addr) != 1 {
+		t.Errorf("value = %d", r.Read(addr))
 	}
 }
 
@@ -184,12 +110,12 @@ func TestReadThenWriteUpgrade(t *testing.T) {
 func TestFwdReadKeepsOwnership(t *testing.T) {
 	r := newRig(ProtoDeNovo)
 	const addr = 0x5000
-	line := addr / r.cfg.LineSize
+	line := addr / r.Cfg.LineSize
 	done := 0
-	r.l1s[2].TryIssue(r.cycle, atomicTxn(addr, &done))
+	r.L1s[2].TryIssue(r.cycle, atomicTxn(addr, &done))
 	r.run(t, 2000)
 	loaded := 0
-	r.l1s[6].TryIssue(r.cycle, &Txn{
+	r.L1s[6].TryIssue(r.cycle, &Txn{
 		Kind: TxnLoad, Addr: addr, Class: core.Data, AOp: core.OpLoad,
 		Done: DoneFunc(func(_ int64, v int64) { loaded++; _ = v }),
 	})
@@ -197,14 +123,14 @@ func TestFwdReadKeepsOwnership(t *testing.T) {
 	if loaded != 1 {
 		t.Fatal("remote read incomplete")
 	}
-	if !r.l1s[2].OwnsLine(line) {
+	if !r.L1s[2].OwnsLine(line) {
 		t.Error("owner lost its registration on a read")
 	}
-	if !r.l1s[6].HoldsLine(line) {
+	if !r.L1s[6].HoldsLine(line) {
 		t.Error("reader did not cache a valid copy")
 	}
-	if r.st.RemoteL1Forwards != 1 {
-		t.Errorf("forwards = %d, want 1", r.st.RemoteL1Forwards)
+	if r.Stats.RemoteL1Forwards != 1 {
+		t.Errorf("forwards = %d, want 1", r.Stats.RemoteL1Forwards)
 	}
 }
 
@@ -213,9 +139,9 @@ func TestFwdReadKeepsOwnership(t *testing.T) {
 func TestGPUAtomicRoundTrip(t *testing.T) {
 	r := newRig(ProtoGPU)
 	const addr = 0x7000
-	r.env.Values[r.cfg.WordAddr(addr)] = 41
+	r.Values[r.Cfg.WordAddr(addr)] = 41
 	var got int64 = -1
-	r.l1s[0].TryIssue(r.cycle, &Txn{
+	r.L1s[0].TryIssue(r.cycle, &Txn{
 		Kind: TxnAtomic, Addr: addr, Class: core.Commutative, AOp: core.OpInc,
 		Done: DoneFunc(func(_ int64, v int64) { got = v }),
 	})
@@ -223,11 +149,11 @@ func TestGPUAtomicRoundTrip(t *testing.T) {
 	if got != 41 {
 		t.Errorf("old value = %d, want 41", got)
 	}
-	if r.env.Read(addr) != 42 {
-		t.Errorf("new value = %d, want 42", r.env.Read(addr))
+	if r.Read(addr) != 42 {
+		t.Errorf("new value = %d, want 42", r.Read(addr))
 	}
-	if r.st.AtomicsAtL2 != 1 || r.st.AtomicsAtL1 != 0 {
-		t.Errorf("placement wrong: L1=%d L2=%d", r.st.AtomicsAtL1, r.st.AtomicsAtL2)
+	if r.Stats.AtomicsAtL2 != 1 || r.Stats.AtomicsAtL1 != 0 {
+		t.Errorf("placement wrong: L1=%d L2=%d", r.Stats.AtomicsAtL1, r.Stats.AtomicsAtL2)
 	}
 }
 
@@ -235,7 +161,7 @@ func TestGPUAtomicRoundTrip(t *testing.T) {
 // acknowledgements return.
 func TestStoreBufferFlushCallback(t *testing.T) {
 	r := newRig(ProtoGPU)
-	l1 := r.l1s[4]
+	l1 := r.L1s[4]
 	l1.TryIssue(r.cycle, &Txn{Kind: TxnStore, Addr: 0x3000, Class: core.Data, AOp: core.OpStore, Done: DoneFunc(func(int64, int64) {})})
 	flushed := int64(-1)
 	l1.Flush(r.cycle, func(c int64) { flushed = c })
@@ -263,24 +189,24 @@ func TestAcquireInvalidatePolicies(t *testing.T) {
 	for _, proto := range []Protocol{ProtoGPU, ProtoDeNovo} {
 		r := newRig(proto)
 		const addr = 0x2000
-		line := addr / r.cfg.LineSize
+		line := addr / r.Cfg.LineSize
 		n := 0
 		if proto == ProtoGPU {
-			r.l1s[0].TryIssue(r.cycle, &Txn{Kind: TxnLoad, Addr: addr, Class: core.Data, AOp: core.OpLoad, Done: DoneFunc(func(int64, int64) { n++ })})
+			r.L1s[0].TryIssue(r.cycle, &Txn{Kind: TxnLoad, Addr: addr, Class: core.Data, AOp: core.OpLoad, Done: DoneFunc(func(int64, int64) { n++ })})
 		} else {
-			r.l1s[0].TryIssue(r.cycle, atomicTxn(addr, &n))
+			r.L1s[0].TryIssue(r.cycle, atomicTxn(addr, &n))
 		}
 		r.run(t, 2000)
-		if !r.l1s[0].HoldsLine(line) {
+		if !r.L1s[0].HoldsLine(line) {
 			t.Fatalf("%v: warm-up failed", proto)
 		}
-		r.l1s[0].AcquireInvalidate()
+		r.L1s[0].AcquireInvalidate()
 		if proto == ProtoGPU {
-			if r.l1s[0].HoldsLine(line) {
+			if r.L1s[0].HoldsLine(line) {
 				t.Error("GPU acquire must drop valid lines")
 			}
 		} else {
-			if !r.l1s[0].OwnsLine(line) {
+			if !r.L1s[0].OwnsLine(line) {
 				t.Error("DeNovo acquire must keep owned lines")
 			}
 		}
@@ -325,11 +251,11 @@ func TestTxnKindStrings(t *testing.T) {
 // TestApplyAtomicValueLayer: Env value ops are word-aligned.
 func TestApplyAtomicValueLayer(t *testing.T) {
 	r := newRig(ProtoGPU)
-	old := r.env.ApplyAtomic(0x1002, core.OpAdd, 5) // unaligned address
+	old := r.ApplyAtomic(0x1002, core.OpAdd, 5) // unaligned address
 	if old != 0 {
 		t.Errorf("old = %d", old)
 	}
-	if r.env.Read(0x1000) != 5 {
-		t.Errorf("word-aligned read = %d", r.env.Read(0x1000))
+	if r.Read(0x1000) != 5 {
+		t.Errorf("word-aligned read = %d", r.Read(0x1000))
 	}
 }

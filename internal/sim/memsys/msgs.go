@@ -44,9 +44,9 @@ const (
 	pkAtomicResp
 )
 
-// IsL2Request reports whether a network payload is served by the L2 bank
+// isL2Request reports whether a network payload is served by the L2 bank
 // (as opposed to an L1 controller).
-func IsL2Request(p noc.Payload) bool {
+func isL2Request(p noc.Payload) bool {
 	switch p.Kind {
 	case pkReadReq, pkOwnReq, pkWtReq, pkWbReq, pkAtomicReq:
 		return true
@@ -54,10 +54,10 @@ func IsL2Request(p noc.Payload) bool {
 	return false
 }
 
-// PayloadName renders a payload kind for liveness diagnostics (registered
-// with the mesh by the system driver). The names match the concrete
-// payload types this package used before the by-value union.
-func PayloadName(p noc.Payload) string {
+// payloadName renders a payload kind for liveness diagnostics (registered
+// with the mesh by NewMemory). The names match the concrete payload types
+// this package used before the by-value union.
+func payloadName(p noc.Payload) string {
 	switch p.Kind {
 	case pkReadReq:
 		return "memsys.readReq"

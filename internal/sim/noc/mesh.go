@@ -12,6 +12,7 @@ import (
 
 	"rats/internal/fault"
 	"rats/internal/probe"
+	"rats/internal/sim/sched"
 	"rats/internal/stats"
 )
 
@@ -60,64 +61,14 @@ const (
 	numLinkDirs
 )
 
+// inflight is a message on its way; the inbox queue keys it by its
+// arrival cycle.
 type inflight struct {
-	arrival int64
-	seq     int64 // FIFO tiebreak for determinism
-	msg     Message
+	seq int64 // message id for probe events
+	msg Message
 	// dup marks an injected duplicate: it occupies links like the
 	// original but is dropped at delivery (endpoints dedupe).
 	dup bool
-}
-
-// pq is a hand-rolled binary min-heap of in-flight messages, ordered by
-// (arrival, seq). container/heap's interface would box every element
-// through `any` on Push/Pop — one allocation per message in each
-// direction — so the sift loops are written out against the concrete
-// element type instead.
-type pq []inflight
-
-func (p pq) less(i, j int) bool {
-	if p[i].arrival != p[j].arrival {
-		return p[i].arrival < p[j].arrival
-	}
-	return p[i].seq < p[j].seq
-}
-
-func (p *pq) push(f inflight) {
-	q := append(*p, f)
-	*p = q
-	for i := len(q) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-func (p *pq) pop() inflight {
-	q := *p
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q = q[:n]
-	*p = q
-	for i := 0; ; {
-		s := i
-		if l := 2*i + 1; l < n && q.less(l, s) {
-			s = l
-		}
-		if r := 2*i + 2; r < n && q.less(r, s) {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		q[i], q[s] = q[s], q[i]
-		i = s
-	}
-	return top
 }
 
 // Mesh is the interconnect.
@@ -128,9 +79,8 @@ type Mesh struct {
 	HopLatency int64
 
 	nextFree []int64 // earliest cycle each directed link is free, by (node, direction)
-	inbox    pq
-	seq      int64
-	recv     []func(Message)
+	inbox    sched.Queue[inflight]
+	seq      int64 // id of the last message sent (probe events pair by it)
 	stats    *stats.Stats
 	probe    *probe.Hub
 	fault    *fault.Injector
@@ -154,7 +104,6 @@ func NewMesh(width, height int, hopLatency int64, st *stats.Stats) *Mesh {
 	m := &Mesh{
 		Width: width, Height: height, HopLatency: hopLatency,
 		nextFree: make([]int64, width*height*numLinkDirs),
-		recv:     make([]func(Message), width*height),
 		stats:    st,
 	}
 	return m
@@ -162,9 +111,6 @@ func NewMesh(width, height int, hopLatency int64, st *stats.Stats) *Mesh {
 
 // Nodes returns the node count.
 func (m *Mesh) Nodes() int { return m.Width * m.Height }
-
-// SetReceiver registers the delivery callback for a node.
-func (m *Mesh) SetReceiver(node int, fn func(Message)) { m.recv[node] = fn }
 
 func (m *Mesh) xy(node int) (x, y int) { return node % m.Width, node / m.Width }
 
@@ -236,7 +182,7 @@ func (m *Mesh) Send(cycle int64, msg Message) {
 		}
 	}
 	m.stats.NoCMessages++
-	m.inbox.push(inflight{arrival: t, seq: m.seq, msg: msg})
+	m.inbox.Push(t, inflight{seq: m.seq, msg: msg})
 	if f := m.fault; f != nil && f.Duplicate() {
 		// The duplicate traverses (and occupies) the links like a real
 		// message — a pure timing perturbation — and is dropped at
@@ -244,7 +190,7 @@ func (m *Mesh) Send(cycle int64, msg Message) {
 		m.seq++
 		td := m.route(cycle, msg, m.seq)
 		m.stats.NoCMessages++
-		m.inbox.push(inflight{arrival: td, seq: m.seq, msg: msg, dup: true})
+		m.inbox.Push(td, inflight{seq: m.seq, msg: msg, dup: true})
 		if h := m.probe; h != nil {
 			h.Emit(probe.Event{Cycle: cycle, Comp: probe.CompNoC, Node: msg.Src, Warp: -1,
 				Kind: probe.FaultInjected, Txn: msg.Txn, Msg: m.seq, Arg: 1})
@@ -303,41 +249,30 @@ func (m *Mesh) route(cycle int64, msg Message, seq int64) int64 {
 	return t
 }
 
-// Tick delivers every message whose arrival time has been reached.
-func (m *Mesh) Tick(cycle int64) {
-	for len(m.inbox) > 0 && m.inbox[0].arrival <= cycle {
-		f := m.inbox.pop()
+// Tick hands every message whose arrival time has been reached to
+// deliver, in (arrival, send order). A message sent for this cycle while
+// Tick runs (zero hop latency) is delivered in the same Tick.
+func (m *Mesh) Tick(cycle int64, deliver func(Message)) {
+	for f, ok := m.inbox.Pop(cycle); ok; f, ok = m.inbox.Pop(cycle) {
 		if f.dup {
 			// Injected duplicate: consumed bandwidth, dropped here.
 			continue
-		}
-		r := m.recv[f.msg.Dst]
-		if r == nil {
-			panic(fmt.Sprintf("noc: no receiver at node %d", f.msg.Dst))
 		}
 		if h := m.probe; h != nil {
 			h.Emit(probe.Event{Cycle: cycle, Comp: probe.CompNoC, Node: f.msg.Dst, Warp: -1,
 				Kind: probe.NoCDeliver, Txn: f.msg.Txn, Msg: f.seq, Arg: int64(f.msg.Src)})
 		}
-		r(f.msg)
+		deliver(f.msg)
 	}
 }
 
 // Pending reports whether messages are still in flight.
-func (m *Mesh) Pending() bool { return len(m.inbox) > 0 }
-
-// NextArrival returns the earliest in-flight arrival cycle, or -1.
-func (m *Mesh) NextArrival() int64 {
-	if len(m.inbox) == 0 {
-		return -1
-	}
-	return m.inbox[0].arrival
-}
+func (m *Mesh) Pending() bool { return m.inbox.Len() > 0 }
 
 // NextWork is the mesh's wake hint: delivering in-flight messages is its
 // only self-driven work, so the earliest arrival is the next cycle it
 // needs to be ticked (-1 when nothing is in flight).
-func (m *Mesh) NextWork(cycle int64) int64 { return m.NextArrival() }
+func (m *Mesh) NextWork(cycle int64) int64 { return m.inbox.Next() }
 
 // MsgDiag is one in-flight message's snapshot for liveness diagnostics.
 type MsgDiag struct {
@@ -352,8 +287,8 @@ type MsgDiag struct {
 
 // InFlight snapshots every undelivered message, soonest arrival first.
 func (m *Mesh) InFlight() []MsgDiag {
-	out := make([]MsgDiag, 0, len(m.inbox))
-	for _, f := range m.inbox {
+	out := make([]MsgDiag, 0, m.inbox.Len())
+	m.inbox.Each(func(arrival int64, f *inflight) {
 		name := ""
 		if m.kindName != nil {
 			name = m.kindName(f.msg.Payload)
@@ -363,9 +298,9 @@ func (m *Mesh) InFlight() []MsgDiag {
 		}
 		out = append(out, MsgDiag{
 			Src: f.msg.Src, Dst: f.msg.Dst, Flits: f.msg.Flits,
-			Arrival: f.arrival, Payload: name, Dup: f.dup,
+			Arrival: arrival, Payload: name, Dup: f.dup,
 		})
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Arrival < out[j].Arrival })
 	return out
 }

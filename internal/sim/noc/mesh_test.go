@@ -7,18 +7,18 @@ import (
 	"rats/internal/stats"
 )
 
-func newTestMesh(hop int64) (*Mesh, *stats.Stats, *[]Message) {
+func newTestMesh(hop int64) (*Mesh, *stats.Stats) {
 	st := &stats.Stats{}
-	m := NewMesh(4, 4, hop, st)
-	var delivered []Message
-	for n := 0; n < m.Nodes(); n++ {
-		m.SetReceiver(n, func(msg Message) { delivered = append(delivered, msg) })
-	}
-	return m, st, &delivered
+	return NewMesh(4, 4, hop, st), st
 }
 
+// recorder collects delivered messages in delivery order.
+type recorder []Message
+
+func (r *recorder) deliver(msg Message) { *r = append(*r, msg) }
+
 func TestRouteXY(t *testing.T) {
-	m, _, _ := newTestMesh(2)
+	m, _ := newTestMesh(2)
 	// Node layout: node = y*4 + x.
 	path := m.Route(0, 15) // (0,0) -> (3,3)
 	want := []int{1, 2, 3, 7, 11, 15}
@@ -36,7 +36,7 @@ func TestRouteXY(t *testing.T) {
 }
 
 func TestHops(t *testing.T) {
-	m, _, _ := newTestMesh(2)
+	m, _ := newTestMesh(2)
 	for _, tc := range []struct{ a, b, want int }{
 		{0, 15, 6}, {0, 0, 0}, {0, 3, 3}, {3, 12, 6}, {5, 6, 1},
 	} {
@@ -47,52 +47,55 @@ func TestHops(t *testing.T) {
 }
 
 func TestDeliveryLatency(t *testing.T) {
-	m, _, delivered := newTestMesh(2)
+	m, _ := newTestMesh(2)
+	var delivered recorder
 	m.Send(0, Message{Src: 0, Dst: 15, Flits: 1, Payload: Payload{Txn: 1}})
 	// 6 hops x 2 cycles = arrival at 12.
 	for c := int64(0); c < 12; c++ {
-		m.Tick(c)
-		if len(*delivered) != 0 {
+		m.Tick(c, delivered.deliver)
+		if len(delivered) != 0 {
 			t.Fatalf("delivered early at cycle %d", c)
 		}
 	}
-	m.Tick(12)
-	if len(*delivered) != 1 {
+	m.Tick(12, delivered.deliver)
+	if len(delivered) != 1 {
 		t.Fatal("not delivered at cycle 12")
 	}
 }
 
 func TestLocalDelivery(t *testing.T) {
-	m, _, delivered := newTestMesh(2)
+	m, _ := newTestMesh(2)
+	var delivered recorder
 	m.Send(0, Message{Src: 7, Dst: 7, Flits: 1, Payload: Payload{Txn: 1}})
-	m.Tick(2)
-	if len(*delivered) != 1 {
+	m.Tick(2, delivered.deliver)
+	if len(delivered) != 1 {
 		t.Fatal("local message not delivered after router traversal")
 	}
 }
 
 func TestLinkContention(t *testing.T) {
-	m, _, delivered := newTestMesh(1)
+	m, _ := newTestMesh(1)
+	var delivered recorder
 	// Two 5-flit messages over the same single link (0 -> 1): the second
 	// serializes behind the first.
 	m.Send(0, Message{Src: 0, Dst: 1, Flits: 5, Payload: Payload{Txn: 1}})
 	m.Send(0, Message{Src: 0, Dst: 1, Flits: 5, Payload: Payload{Txn: 2}})
-	m.Tick(1)
-	if len(*delivered) != 1 {
-		t.Fatalf("first message should arrive at hop latency; got %d", len(*delivered))
+	m.Tick(1, delivered.deliver)
+	if len(delivered) != 1 {
+		t.Fatalf("first message should arrive at hop latency; got %d", len(delivered))
 	}
-	m.Tick(5) // second departs at 5 (after 5 flits), arrives 6
-	if len(*delivered) != 1 {
+	m.Tick(5, delivered.deliver) // second departs at 5 (after 5 flits), arrives 6
+	if len(delivered) != 1 {
 		t.Fatal("second message arrived too early")
 	}
-	m.Tick(6)
-	if len(*delivered) != 2 {
+	m.Tick(6, delivered.deliver)
+	if len(delivered) != 2 {
 		t.Fatal("second message should have arrived by cycle 6")
 	}
 }
 
 func TestFlitHopAccounting(t *testing.T) {
-	m, st, _ := newTestMesh(2)
+	m, st := newTestMesh(2)
 	m.Send(0, Message{Src: 0, Dst: 3, Flits: 5, Payload: Payload{Txn: 1}})
 	if st.NoCFlitHops != 15 { // 3 hops x 5 flits
 		t.Errorf("flit-hops = %d, want 15", st.NoCFlitHops)
@@ -103,29 +106,30 @@ func TestFlitHopAccounting(t *testing.T) {
 }
 
 func TestFIFOPerArrivalCycle(t *testing.T) {
-	m, _, delivered := newTestMesh(1)
+	m, _ := newTestMesh(1)
+	var delivered recorder
 	// Same-cycle arrivals must deliver in send order (deterministic).
 	m.Send(0, Message{Src: 4, Dst: 5, Flits: 1, Payload: Payload{Txn: 1}})
 	m.Send(0, Message{Src: 6, Dst: 5, Flits: 1, Payload: Payload{Txn: 2}})
-	m.Tick(10)
-	if len(*delivered) != 2 {
+	m.Tick(10, delivered.deliver)
+	if len(delivered) != 2 {
 		t.Fatal("both should arrive")
 	}
-	if (*delivered)[0].Payload.Txn != 1 || (*delivered)[1].Payload.Txn != 2 {
+	if delivered[0].Payload.Txn != 1 || delivered[1].Payload.Txn != 2 {
 		t.Error("delivery order not FIFO by send sequence")
 	}
 }
 
 func TestPendingAndNextArrival(t *testing.T) {
-	m, _, _ := newTestMesh(2)
-	if m.Pending() || m.NextArrival() != -1 {
+	m, _ := newTestMesh(2)
+	if m.Pending() || m.NextWork(0) != -1 {
 		t.Fatal("fresh mesh should be idle")
 	}
 	m.Send(0, Message{Src: 0, Dst: 1, Flits: 1})
-	if !m.Pending() || m.NextArrival() != 2 {
-		t.Fatalf("pending=%v nextArrival=%d", m.Pending(), m.NextArrival())
+	if !m.Pending() || m.NextWork(0) != 2 {
+		t.Fatalf("pending=%v nextWork=%d", m.Pending(), m.NextWork(0))
 	}
-	m.Tick(2)
+	m.Tick(2, func(Message) {})
 	if m.Pending() {
 		t.Fatal("should be idle after delivery")
 	}
@@ -135,7 +139,7 @@ func TestPendingAndNextArrival(t *testing.T) {
 // and never before Manhattan-distance x hop latency.
 func TestDeliveryIsComplete(t *testing.T) {
 	f := func(seed int64) bool {
-		m, _, _ := newTestMesh(2)
+		m, _ := newTestMesh(2)
 		type rec struct {
 			sent    int64
 			arrived int64
@@ -144,12 +148,9 @@ func TestDeliveryIsComplete(t *testing.T) {
 		}
 		var recs []rec
 		count := 0
-		for n := 0; n < m.Nodes(); n++ {
-			m.SetReceiver(n, func(msg Message) {
-				count++
-				i := int(msg.Payload.Txn)
-				recs[i].arrived = 1
-			})
+		deliver := func(msg Message) {
+			count++
+			recs[msg.Payload.Txn].arrived = 1
 		}
 		rnd := seed
 		next := func(n int) int {
@@ -167,7 +168,7 @@ func TestDeliveryIsComplete(t *testing.T) {
 			m.Send(int64(i), Message{Src: src, Dst: dst, Flits: 1 + next(5), Payload: Payload{Txn: int64(i)}})
 		}
 		for c := int64(0); c <= 100000 && m.Pending(); c++ {
-			m.Tick(c)
+			m.Tick(c, deliver)
 		}
 		if count != N {
 			return false
@@ -185,7 +186,7 @@ func TestDeliveryIsComplete(t *testing.T) {
 }
 
 func TestRouteOutOfRangePanics(t *testing.T) {
-	m, _, _ := newTestMesh(2)
+	m, _ := newTestMesh(2)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")

@@ -152,8 +152,8 @@ func TestSkipEquivalenceWedgedWatchdog(t *testing.T) {
 		if on.RetiredOps != off.RetiredOps {
 			t.Errorf("%s: retired ops at failure: %d (skip) vs %d (reference)", name, on.RetiredOps, off.RetiredOps)
 		}
-		if onSys.stats != offSys.stats {
-			t.Errorf("%s: stats at failure diverge\non:  %+v\noff: %+v", name, onSys.stats, offSys.stats)
+		if *onSys.mem.Stats != *offSys.mem.Stats {
+			t.Errorf("%s: stats at failure diverge\non:  %+v\noff: %+v", name, *onSys.mem.Stats, *offSys.mem.Stats)
 		}
 		onCounts, _ := onSys.FaultCounts()
 		offCounts, _ := offSys.FaultCounts()

@@ -19,83 +19,17 @@ import (
 	"rats/internal/trace"
 )
 
-// event is a scheduled continuation, ordered by (cycle, seq) so
-// same-cycle events fire in scheduling order (the FIFO contract of
-// Env.At).
-type event struct {
-	cycle int64
-	seq   int64
-	d     memsys.Deferred
-}
-
-// eventQueue is a hand-rolled binary min-heap of events. container/heap
-// funnels elements through `any`, boxing every push and pop; the typed
-// heap keeps the scheduler allocation-free in steady state.
-type eventQueue []event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) less(i, j int) bool {
-	if q[i].cycle != q[j].cycle {
-		return q[i].cycle < q[j].cycle
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q *eventQueue) push(e event) {
-	h := append(*q, e)
-	*q = h
-	for i := len(h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (q *eventQueue) pop() event {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{}
-	h = h[:n]
-	*q = h
-	for i := 0; ; {
-		s := i
-		if l := 2*i + 1; l < n && h.less(l, s) {
-			s = l
-		}
-		if r := 2*i + 2; r < n && h.less(r, s) {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		h[i], h[s] = h[s], h[i]
-		i = s
-	}
-	return top
-}
-
 // System is one assembled machine instance.
 type System struct {
-	Cfg   memsys.Config
-	env   *memsys.Env
-	mesh  *noc.Mesh
-	l1s   []*memsys.L1
-	l2s   []*memsys.L2Bank
-	cus   []*cu.CU
-	stats stats.Stats
+	// mem owns the configuration and the counters (mem.Cfg, mem.Stats);
+	// nothing the machine builds points back into System, so a finished
+	// machine is garbage as soon as its driver is.
+	mem *memsys.Memory
+	cus []*cu.CU
 
-	events eventQueue
-	evSeq  int64
-	cycle  int64
-	txnSeq int64
-	tr     *trace.Trace
-	probe  *probe.Hub
-	inj    *fault.Injector
+	cycle int64
+	tr    *trace.Trace
+	probe *probe.Hub
 	// skipOff disables fast-forwarding so every cycle is processed — the
 	// reference mode cycle skipping is validated against. quietUntil marks
 	// cycles the skip oracle proved idle: in skip-off mode they are still
@@ -123,31 +57,12 @@ type Result struct {
 	Read func(addr uint64) int64
 }
 
-// New builds the machine for a configuration.
+// New builds the machine for a configuration: the memory side, and a
+// CU over each node's L1.
 func New(cfg memsys.Config) *System {
-	s := &System{Cfg: cfg}
-	s.mesh = noc.NewMesh(cfg.MeshWidth, cfg.MeshHeight, cfg.HopLat, &s.stats)
-	s.env = &memsys.Env{
-		Cfg:    &s.Cfg,
-		Mesh:   s.mesh,
-		Stats:  &s.stats,
-		Values: map[uint64]int64{},
-		At:     s.at,
-	}
-	for n := 0; n < cfg.Nodes(); n++ {
-		l1 := memsys.NewL1(s.env, n)
-		l2 := memsys.NewL2Bank(s.env, n)
-		s.l1s = append(s.l1s, l1)
-		s.l2s = append(s.l2s, l2)
-		s.cus = append(s.cus, cu.New(s.env, n, l1, &s.txnSeq))
-		node := n
-		s.mesh.SetReceiver(n, func(m noc.Message) { s.deliver(node, m) })
-	}
-	s.mesh.SetPayloadNamer(memsys.PayloadName)
-	if cfg.Faults != nil {
-		s.inj = fault.NewInjector(cfg.Faults, cfg.FaultSeed)
-		s.env.Fault = s.inj
-		s.mesh.SetFault(s.inj)
+	s := &System{mem: memsys.NewMemory(cfg)}
+	for n, l1 := range s.mem.L1s {
+		s.cus = append(s.cus, cu.New(&s.mem.Env, n, l1))
 	}
 	return s
 }
@@ -155,10 +70,10 @@ func New(cfg memsys.Config) *System {
 // FaultCounts returns the injected-perturbation tally, and whether fault
 // injection is enabled at all.
 func (s *System) FaultCounts() (fault.Counts, bool) {
-	if s.inj == nil {
+	if s.mem.Fault == nil {
 		return fault.Counts{}, false
 	}
-	return s.inj.Counts(), true
+	return s.mem.Fault.Counts(), true
 }
 
 // Abort requests that a running simulation stop with a diagnostic error.
@@ -183,45 +98,21 @@ func (s *System) SetCycleSkipping(on bool) {
 func (s *System) AttachProbe(h *probe.Hub) {
 	h = h.ActiveOrNil()
 	s.probe = h
-	s.env.Probe = h
-	s.mesh.AttachProbe(h)
-	for _, l1 := range s.l1s {
-		l1.AttachProbe(h)
-	}
-}
-
-// at schedules a deferred continuation at the given cycle (clamped to
-// the future so handlers never re-enter the current cycle's processing).
-func (s *System) at(cycle int64, d memsys.Deferred) {
-	if cycle <= s.cycle {
-		cycle = s.cycle + 1
-	}
-	s.evSeq++
-	s.events.push(event{cycle: cycle, seq: s.evSeq, d: d})
-}
-
-// deliver routes a network message to the right component: L2 requests go
-// to the bank, everything else to the L1.
-func (s *System) deliver(node int, m noc.Message) {
-	if memsys.IsL2Request(m.Payload) {
-		s.l2s[node].Handle(s.cycle, m.Payload)
-		return
-	}
-	s.l1s[node].Handle(s.cycle, m.Payload)
+	s.mem.AttachProbe(h)
 }
 
 // Load places a trace's warps onto the machine and seeds the value layer.
 func (s *System) Load(tr *trace.Trace) error {
 	s.tr = tr
 	for addr, v := range tr.Init {
-		s.env.Values[s.Cfg.WordAddr(addr)] = v
+		s.mem.Values[s.mem.Cfg.WordAddr(addr)] = v
 	}
 	for _, w := range tr.Warps {
 		node := w.CU
 		if w.IsCPU {
-			node = s.Cfg.CPUNode
-		} else if node < 0 || node >= s.Cfg.NumCUs {
-			return fmt.Errorf("system: warp placed on CU %d (have %d CUs)", node, s.Cfg.NumCUs)
+			node = s.mem.Cfg.CPUNode
+		} else if node < 0 || node >= s.mem.Cfg.NumCUs {
+			return fmt.Errorf("system: warp placed on CU %d (have %d CUs)", node, s.mem.Cfg.NumCUs)
 		}
 		s.cus[node].AddWarp(w)
 	}
@@ -248,26 +139,18 @@ func (s *System) Run() (*Result, error) {
 			break
 		}
 		s.cycle++
-		if s.cycle > s.Cfg.MaxCycles {
-			return nil, s.diagnose(fmt.Sprintf("exceeded MaxCycles=%d (deadlock?)", s.Cfg.MaxCycles))
+		if s.cycle > s.mem.Cfg.MaxCycles {
+			return nil, s.diagnose(fmt.Sprintf("exceeded MaxCycles=%d (deadlock?)", s.mem.Cfg.MaxCycles))
 		}
 		if s.probe != nil {
-			s.probe.Tick(s.cycle, &s.stats)
+			s.probe.Tick(s.cycle, s.mem.Stats)
 		}
-		// 1. Run scheduled events.
-		for s.events.Len() > 0 && s.events[0].cycle <= s.cycle {
-			e := s.events.pop()
-			e.d.Fire(s.cycle)
-		}
-		// 2. Deliver network messages.
-		s.mesh.Tick(s.cycle)
-		// 3. L1 store-buffer drains and flush callbacks.
-		for _, l1 := range s.l1s {
-			l1.Tick(s.cycle)
-		}
-		// 4. Device-wide barrier resolution.
+		// 1. The memory side: due events, then message deliveries, then
+		// L1 store-buffer drains and flush callbacks.
+		s.mem.Step(s.cycle)
+		// 2. Device-wide barrier resolution.
 		s.resolveBarrier()
-		// 5. CUs issue. A cycle is "quiet" when fast-forwarding is disabled
+		// 3. CUs issue. A cycle is "quiet" when fast-forwarding is disabled
 		// but the wake hints proved it idle: it still runs in full (so an
 		// inexact hint diverges the architectural counters and fails the
 		// equivalence tests) with only stall accounting suppressed, since a
@@ -280,12 +163,12 @@ func (s *System) Run() (*Result, error) {
 			s.debugHook(s.cycle)
 		}
 		// Always-on invariants: catch corruption as a diagnosed error.
-		if s.stats.CoreOps < prevCoreOps {
+		if s.mem.Stats.CoreOps < prevCoreOps {
 			return nil, s.diagnose(fmt.Sprintf(
-				"invariant violated: retired-op count decreased (%d -> %d)", prevCoreOps, s.stats.CoreOps))
+				"invariant violated: retired-op count decreased (%d -> %d)", prevCoreOps, s.mem.Stats.CoreOps))
 		}
-		prevCoreOps = s.stats.CoreOps
-		for _, l1 := range s.l1s {
+		prevCoreOps = s.mem.Stats.CoreOps
+		for _, l1 := range s.mem.L1s {
 			if !l1.OverCapacity() {
 				continue
 			}
@@ -303,7 +186,7 @@ func (s *System) Run() (*Result, error) {
 		if sig := s.progressSignature(); sig != lastSig {
 			lastSig = sig
 			lastProgress = s.cycle
-		} else if w := s.Cfg.WatchdogWindow; w > 0 && s.cycle-lastProgress >= w {
+		} else if w := s.mem.Cfg.WatchdogWindow; w > 0 && s.cycle-lastProgress >= w {
 			return nil, s.diagnose(fmt.Sprintf(
 				"no forward progress for %d cycles (watchdog window %d)", s.cycle-lastProgress, w))
 		}
@@ -313,7 +196,7 @@ func (s *System) Run() (*Result, error) {
 				return nil, s.diagnose("aborted: " + *msg)
 			}
 		}
-		// 6. Fast-forward over provably idle cycles (or, in the skip-off
+		// 4. Fast-forward over provably idle cycles (or, in the skip-off
 		// validation mode, just mark them quiet and walk through them).
 		// Never jump once the machine is done: a hint can outlive the last
 		// retirement (the fault injector reports pressure-window boundaries
@@ -328,23 +211,18 @@ func (s *System) Run() (*Result, error) {
 			s.cycle = next - 1
 		}
 	}
-	// End-of-run invariant: nothing outlives the run.
-	if s.mesh.Pending() {
-		return nil, s.diagnose("invariant violated: messages in flight after completion")
-	}
-	for _, l1 := range s.l1s {
-		if !l1.Quiesced() {
-			return nil, s.diagnose("invariant violated: L1 work outstanding after completion")
-		}
-	}
-	s.stats.Cycles = s.cycle
+	s.mem.Stats.Cycles = s.cycle
 	s.finishProbe()
+	// Read keeps the value layer and a copy of the configuration
+	// reachable, not the machine, so a sweep holding many results holds
+	// no machines.
+	values, cfg := s.mem.Values, *s.mem.Cfg
 	res := &Result{
 		Name:   s.tr.Name,
-		Cfg:    s.Cfg,
-		Stats:  s.stats,
-		Energy: energy.Compute(&s.stats, energy.DefaultModel()),
-		Read:   func(addr uint64) int64 { return s.env.Values[s.Cfg.WordAddr(addr)] },
+		Cfg:    cfg,
+		Stats:  *s.mem.Stats,
+		Energy: energy.Compute(s.mem.Stats, energy.DefaultModel()),
+		Read:   func(addr uint64) int64 { return values[cfg.WordAddr(addr)] },
 	}
 	if s.tr.FinalCheck != nil {
 		if err := s.tr.FinalCheck(res.Read); err != nil {
@@ -360,8 +238,8 @@ func (s *System) Run() (*Result, error) {
 // retired-warp counts are folded in too — otherwise the final retire of a
 // long-quiet warp could trip the watchdog spuriously.
 func (s *System) progressSignature() int64 {
-	sig := s.stats.CoreOps + s.stats.L1Accesses + s.stats.L2Accesses +
-		s.stats.Atomics + s.stats.NoCMessages
+	st := s.mem.Stats
+	sig := st.CoreOps + st.L1Accesses + st.L2Accesses + st.Atomics + st.NoCMessages
 	for _, c := range s.cus {
 		sig += int64(c.RetiredWarps())
 	}
@@ -451,8 +329,8 @@ func (s *System) diagnose(reason string) *DiagnosticError {
 	e := &DiagnosticError{
 		Reason:     reason,
 		Cycle:      s.cycle,
-		MaxCyc:     s.Cfg.MaxCycles,
-		RetiredOps: s.stats.CoreOps,
+		MaxCyc:     s.mem.Cfg.MaxCycles,
+		RetiredOps: s.mem.Stats.CoreOps,
 	}
 	if s.tr != nil {
 		e.Workload = s.tr.Name
@@ -472,19 +350,19 @@ func (s *System) diagnose(reason string) *DiagnosticError {
 			}
 		}
 	}
-	for _, l1 := range s.l1s {
+	for _, l1 := range s.mem.L1s {
 		if d := l1.Diag(); d.Busy() {
 			e.L1s = append(e.L1s, d)
 		}
 	}
-	for _, m := range s.mesh.InFlight() {
+	for _, m := range s.mem.Mesh.InFlight() {
 		if len(e.Messages) < maxDiagMessages {
 			e.Messages = append(e.Messages, m)
 		} else {
 			e.MessagesOmitted++
 		}
 	}
-	e.PendingEvents = s.events.Len()
+	e.PendingEvents = s.mem.PendingEvents()
 	if s.probe != nil {
 		s.probe.Emit(probe.Event{Cycle: s.cycle, Comp: probe.CompSystem, Node: -1, Warp: -1,
 			Kind: probe.WatchdogReport, Arg: int64(len(e.Warps) + e.WarpsOmitted)})
@@ -510,21 +388,16 @@ func (s *System) finishProbe() {
 	for _, c := range s.cus {
 		c.CloseStalls(s.cycle, s.probe)
 	}
-	s.probe.FinalSample(s.cycle, &s.stats)
+	s.probe.FinalSample(s.cycle, s.mem.Stats)
 }
 
 // done reports whether every warp has retired and the machine is idle.
 func (s *System) done() bool {
-	if s.mesh.Pending() || s.events.Len() > 0 {
+	if !s.mem.Idle() {
 		return false
 	}
 	for _, c := range s.cus {
 		if !c.Done() {
-			return false
-		}
-	}
-	for _, l1 := range s.l1s {
-		if !l1.Quiesced() {
 			return false
 		}
 	}
@@ -557,12 +430,12 @@ func (s *System) barrierReady() (waiting int, ok bool) {
 	if waiting < live-retired {
 		return waiting, false
 	}
-	for _, l1 := range s.l1s {
+	for _, l1 := range s.mem.L1s {
 		if !l1.SBDrained() {
 			return waiting, false
 		}
 	}
-	return waiting, !s.mesh.Pending()
+	return waiting, !s.mem.Mesh.Pending()
 }
 
 // resolveBarrier implements the device-wide barrier: when every live warp
@@ -574,7 +447,7 @@ func (s *System) resolveBarrier() {
 	if !ok {
 		return
 	}
-	for _, l1 := range s.l1s {
+	for _, l1 := range s.mem.L1s {
 		l1.AcquireInvalidate()
 	}
 	for _, c := range s.cus {
@@ -586,14 +459,15 @@ func (s *System) resolveBarrier() {
 	}
 }
 
-// nextWorkCycle polls every component's NextWork wake hint plus the
-// event queue and returns the earliest cycle anything can make progress
-// on its own, or -1 when the machine is entirely idle (then nothing
-// will ever happen again — the done check or the watchdog ends the
-// run). The driver skips the clock straight to this cycle, so hints
-// must be exact: every cycle a component would act on must be reported.
-// A component that only reacts to deliveries and scheduled events may
-// return -1 unconditionally, because those arrive at processed cycles.
+// nextWorkCycle polls the CUs', the memory side's and the fault
+// injector's NextWork wake hints and returns the earliest cycle anything
+// can make progress on its own, or -1 when the machine is entirely idle
+// (then nothing will ever happen again — the done check or the watchdog
+// ends the run). The driver skips the clock straight to this cycle, so
+// hints must be exact: every cycle a component would act on must be
+// reported. A component that only reacts to deliveries and scheduled
+// events may return -1 unconditionally, because those arrive at
+// processed cycles.
 func (s *System) nextWorkCycle() int64 {
 	next := int64(-1)
 	min := func(t int64) {
@@ -604,18 +478,9 @@ func (s *System) nextWorkCycle() int64 {
 	for _, c := range s.cus {
 		min(c.NextWork(s.cycle))
 	}
-	for _, l1 := range s.l1s {
-		min(l1.NextWork(s.cycle))
-	}
-	for _, l2 := range s.l2s {
-		min(l2.NextWork(s.cycle))
-	}
-	min(s.mesh.NextWork(s.cycle))
-	if s.inj != nil {
-		min(s.inj.NextWork(s.cycle))
-	}
-	if s.events.Len() > 0 {
-		min(s.events[0].cycle)
+	min(s.mem.NextWork(s.cycle))
+	if s.mem.Fault != nil {
+		min(s.mem.Fault.NextWork(s.cycle))
 	}
 	// The driver's own clocked work: a resolvable barrier releases at the
 	// next processed cycle.

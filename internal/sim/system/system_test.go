@@ -2,7 +2,9 @@ package system
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"rats/internal/core"
 	"rats/internal/sim/memsys"
@@ -295,5 +297,40 @@ func TestDeterminism(t *testing.T) {
 	}
 	if r1.Stats != r2.Stats {
 		t.Errorf("non-deterministic stats:\n%v\nvs\n%v", r1.Stats.String(), r2.Stats.String())
+	}
+}
+
+// TestResultDoesNotPinMachine: a Result still answers Read once its
+// machine has been collected, so a sweep that keeps its results does not
+// keep its machines alive.
+func TestResultDoesNotPinMachine(t *testing.T) {
+	const addr = 0x4004
+	tr := trace.New("one-add")
+	tr.AddWarp(0).Atomic(core.Commutative, core.OpAdd, 5, addr)
+	s := New(memsys.Default(memsys.ProtoGPU, core.DRF0))
+	freed := make(chan struct{})
+	runtime.SetFinalizer(s, func(*System) { close(freed) })
+	if err := s.Load(tr); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = nil
+	collected := false
+	for i := 0; i < 50 && !collected; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			collected = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if !collected {
+		t.Fatal("the machine stayed reachable from its Result")
+	}
+	if got := res.Read(addr + 1); got != 5 {
+		t.Errorf("Read after collection = %d, want 5", got)
 	}
 }
