@@ -18,7 +18,7 @@ import (
 	"rats/internal/workloads"
 )
 
-var update = flag.Bool("update", false, "rewrite the simulator goldens in testdata")
+var update = flag.Bool("update", false, "rewrite the goldens in testdata")
 
 // checkGolden compares rows, one JSON line each, with testdata/name: the
 // exact simulated results, so any change to the simulator's timing or
@@ -36,9 +36,16 @@ func checkGolden[T any](t *testing.T, name string, rows []T) {
 		b.Write(line)
 		b.WriteByte('\n')
 	}
+	checkGoldenLines(t, name, b.Bytes())
+}
+
+// checkGoldenLines compares got, line by line, with testdata/name, or
+// rewrites the file under -update.
+func checkGoldenLines(t *testing.T, name string, got []byte) {
+	t.Helper()
 	path := filepath.Join("testdata", name)
 	if *update {
-		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -47,10 +54,10 @@ func checkGolden[T any](t *testing.T, name string, rows []T) {
 	if err != nil {
 		t.Fatalf("missing golden (run with -update): %v", err)
 	}
-	gl, wl := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
 	for i := 0; i < len(gl) && i < len(wl); i++ {
 		if gl[i] != wl[i] {
-			t.Fatalf("%s: simulated results drifted at line %d:\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
+			t.Fatalf("%s: drifted at line %d:\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
 		}
 	}
 	if len(gl) != len(wl) {

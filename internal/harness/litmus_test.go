@@ -12,6 +12,9 @@ import (
 	"rats/internal/memmodel"
 	"rats/internal/memmodel/telemetry"
 	"rats/internal/obs"
+
+	// Registers the constraint-solving backend behind Mode "solve".
+	_ "rats/internal/memmodel/solve"
 )
 
 // smallSuite keeps sweep tests fast: a handful of cases spanning legal
@@ -132,6 +135,34 @@ func TestLitmusSweepTelemetryDeterministic(t *testing.T) {
 	}
 	if tot.States[telemetry.StateDone] != int64(wantLines) {
 		t.Errorf("done states = %d, want %d", tot.States[telemetry.StateDone], wantLines)
+	}
+}
+
+// TestLitmusSweepTelemetryGolden pins the catalog's telemetry JSONL, as
+// `ratslitmus -j 1 -telemetry-out` writes it, in both checking modes: the
+// exact executions, transitions and memo hits of every check and system
+// search, and the solver's counters. A change that only makes the
+// engines cheaper leaves these bytes alone. Regenerate with
+// `go test ./internal/harness -run LitmusSweepTelemetryGolden -update`
+// only for a change meant to move them, and review the diff.
+func TestLitmusSweepTelemetryGolden(t *testing.T) {
+	for _, c := range []struct {
+		golden string
+		mode   memmodel.Mode
+	}{
+		{"litmus_telemetry_streaming.jsonl", memmodel.ModeEnumerate},
+		{"litmus_telemetry_solve.jsonl", memmodel.ModeSolve},
+	} {
+		var buf bytes.Buffer
+		_, err := LitmusSweep(litmus.Suite(), LitmusSweepOptions{
+			Workers: 1,
+			Check:   memmodel.CheckOptions{Mode: c.mode},
+			Run:     &RunOptions{Checks: telemetry.NewRegistry(), TelemetryOut: &buf},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGoldenLines(t, c.golden, buf.Bytes())
 	}
 }
 

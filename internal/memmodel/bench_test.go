@@ -135,33 +135,37 @@ func BenchmarkCheckProgram(b *testing.B) {
 // gate pins at >=10x; contended(7,3) has too many interleavings to
 // enumerate at all, so only the solver runs there (the absolute-latency
 // evidence). Flags_2 prices the solver on an ordinary catalog case
-// where POR already collapses the space.
+// where POR already collapses the space. Flags_4 under DRF0 is the
+// litmus-solve check whose time goes to the state engine (phase 3).
 func BenchmarkSolve(b *testing.B) {
-	run := func(b *testing.B, p *litmus.Program, opts CheckOptions) {
+	run := func(b *testing.B, p *litmus.Program, m core.Model, opts CheckOptions) {
 		b.Helper()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := CheckProgramWith(p, core.DRFrlx, opts); err != nil {
+			if _, err := CheckProgramWith(p, m, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 	c52 := contendedProgram(5, 2)
 	b.Run("contended_5x2/enumerate", func(b *testing.B) {
-		run(b, c52, CheckOptions{})
+		run(b, c52, core.DRFrlx, CheckOptions{})
 	})
 	b.Run("contended_5x2/solve", func(b *testing.B) {
-		run(b, c52, CheckOptions{Mode: ModeSolve})
+		run(b, c52, core.DRFrlx, CheckOptions{Mode: ModeSolve})
 	})
 	b.Run("contended_7x3/solve", func(b *testing.B) {
-		run(b, contendedProgram(7, 3), CheckOptions{Mode: ModeSolve})
+		run(b, contendedProgram(7, 3), core.DRFrlx, CheckOptions{Mode: ModeSolve})
 	})
 	tc := litmus.ByName("Flags_2")
 	if tc == nil {
 		b.Fatal("no suite program named Flags_2")
 	}
 	b.Run("Flags_2/solve", func(b *testing.B) {
-		run(b, tc.Prog, CheckOptions{Mode: ModeSolve})
+		run(b, tc.Prog, core.DRFrlx, CheckOptions{Mode: ModeSolve})
+	})
+	b.Run("Flags_4/solve", func(b *testing.B) {
+		run(b, litmus.Flags(4), core.DRF0, CheckOptions{Mode: ModeSolve})
 	})
 }
 
@@ -172,7 +176,7 @@ func BenchmarkSystemResults(b *testing.B) {
 	p := benchProgram(b, "RefCounterTwo")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := SystemResults(p, 0); err != nil {
+		if _, err := SystemResultsWith(p, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

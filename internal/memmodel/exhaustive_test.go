@@ -92,7 +92,7 @@ func TestExhaustiveTheoremSmallPrograms(t *testing.T) {
 							continue
 						}
 						legal++
-						sys, err := SystemResults(p, 0)
+						sys, err := SystemResultsWith(p, 0, nil)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -124,14 +124,23 @@ func check(p0 *litmus.Program, m core.Model, opts memmodel.CheckOptions) (*memmo
 		tel.SetSpan(se)
 		collected := map[string]bool{}
 		stopped := false
+		// Each analyzed execution goes back to the enumerator, which
+		// refills it for the next leaf, as in CheckProgramWith.
+		var spare *memmodel.Execution
 		eo := memmodel.EnumOptions{
 			Quantum: true, Limit: opts.Limit, Ctx: opts.Ctx,
 			TransitionLimit: opts.TransitionLimit,
 			Telemetry:       tel,
+			Recycle: func() *memmodel.Execution {
+				ex := spare
+				spare = nil
+				return ex
+			},
 			Visit: func(ex *memmodel.Execution) error {
 				execs++
 				collected[ex.ResultKey()] = true
 				a := an.Analyze(ex)
+				spare = ex
 				for _, k := range cs.kinds {
 					if len(cs.undecided[k]) == 0 {
 						continue

@@ -250,6 +250,33 @@ func FuzzSolveMatchesEnumerate(f *testing.F) {
 	})
 }
 
+// TestSolveStateCountsPinned pins the exact telemetry counts of two
+// phase-3 checks: the state engine's cost-cutting must leave the states
+// it memoizes, and the order it meets them in, unchanged. Flags_4 has a
+// singleton symmetry class per thread; contended(7,3) is one class of
+// all seven threads.
+func TestSolveStateCountsPinned(t *testing.T) {
+	for _, c := range []struct {
+		p    *litmus.Program
+		m    core.Model
+		want [5]int64 // transitions, decisions, propagations, conflicts, learned
+	}{
+		{litmus.Flags(4), core.DRF0, [5]int64{8036, 2229, 113, 5655, 2342}},
+		{contendedProgram(7, 3), core.DRFrlx, [5]int64{630, 116, 3, 511, 119}},
+	} {
+		tel := telemetry.NewCheck(c.p.Name, c.m.String())
+		if _, err := Check(c.p, c.m, memmodel.CheckOptions{Telemetry: tel}); err != nil {
+			t.Fatal(err)
+		}
+		r := tel.Record()
+		got := [5]int64{r.Transitions, r.SolveDecisions, r.SolvePropagations, r.SolveConflicts, r.SolveLearned}
+		if got != c.want || r.Executions != 0 {
+			t.Errorf("%s under %s: transitions/decisions/propagations/conflicts/learned = %v with %d executions, want %v with 0",
+				c.p.Name, c.m, got, r.Executions, c.want)
+		}
+	}
+}
+
 // TestSolveTelemetryCounters: a solved check surfaces the DPLL-style
 // counters on its telemetry record (and through the registry totals that
 // feed the rats_check_solver_* metrics), while an enumeration-mode check

@@ -37,6 +37,18 @@ import (
 //     defined by its predecessors in both relations, so the outcome is
 //     fixed once the op is enabled; the skipped op touches no memory or
 //     register, so consuming it first commutes with every move.
+//
+// Two invariants keep a node cheap without changing what it explores or
+// the key it memoizes:
+//
+//   - next[t] is thread t's first event that has not run, so every
+//     earlier event of t has. The enabled-event scan starts there. Both
+//     relations order events within a thread only, earlier before later,
+//     so on a chain thread next[t] is the one candidate, and it is
+//     enabled;
+//   - a symmetry class of one thread appends its sub-key straight into
+//     the memo key. Sorting one sub-key is the identity, so the bytes
+//     equal the general path's.
 
 // StateCounts are one state-engine search's counters, in the solver's
 // DPLL vocabulary: decisions and propagations are the memoized states
@@ -66,11 +78,11 @@ type stateEngine struct {
 	domain  []int64
 	classes [][]int
 	// Thread t's events are first[t] up to first[t+1], its done flags
-	// done[dfirst[t]:dfirst[t+1]]. chain[t]: each of its events waits on
-	// the previous one, so its first undone event is the only one that
-	// can be enabled.
-	first, dfirst []int
-	chain         []bool
+	// done[dfirst[t]:dfirst[t+1]], its first event not yet run next[t].
+	// chain[t]: each of its events waits on the previous one, so next[t]
+	// is the only one that can be enabled.
+	first, dfirst, next []int
+	chain               []bool
 
 	// limit, when positive, bounds the completed executions, each counted
 	// as enumerated in telemetry. ctx and budget (the transition budget)
@@ -110,7 +122,7 @@ type stateEngine struct {
 func newStateEngine(p *litmus.Program, order rel.Rel, domain []int64) *stateEngine {
 	e := &stateEngine{
 		p: p, lay: layout(p), domain: domain,
-		first: make([]int, len(p.Threads)+1), dfirst: make([]int, len(p.Threads)+1),
+		first: make([]int, len(p.Threads)+1), dfirst: make([]int, len(p.Threads)+1), next: make([]int, len(p.Threads)),
 		chain: make([]bool, len(p.Threads)), regs: make([][]int64, len(p.Threads)),
 		seen: map[string]struct{}{}, results: map[string]bool{}, qvals: map[int64]bool{},
 		start: time.Now(),
@@ -119,7 +131,7 @@ func newStateEngine(p *litmus.Program, order rel.Rel, domain []int64) *stateEngi
 	e.evs = make([]stateEvent, e.lay.n)
 	for t, th := range p.Threads {
 		e.regs[t] = make([]int64, th.NumRegs())
-		e.first[t+1], e.chain[t] = e.first[t], true
+		e.first[t+1], e.next[t], e.chain[t] = e.first[t], e.first[t], true
 		for i := range th.Ops {
 			op, id := &th.Ops[i], e.lay.id[t][i]
 			if id < 0 {
@@ -212,10 +224,20 @@ func (e *stateEngine) ready(i int) bool {
 	return true
 }
 
-// toggle flips event i's done flag, d = +1 to run it and -1 to undo.
+// toggle flips event i's done flag, d = +1 to run it and -1 to undo,
+// and keeps its thread's next undone event current.
 func (e *stateEngine) toggle(i, d int) {
-	e.done[e.evs[i].byte] ^= e.evs[i].bit
+	ev := &e.evs[i]
+	e.done[ev.byte] ^= ev.bit
 	e.nDone += d
+	next := &e.next[ev.t]
+	if d < 0 {
+		*next = min(*next, i)
+		return
+	}
+	for *next < e.first[ev.t+1] && e.isDone(*next) {
+		*next++
+	}
 }
 
 // run explores the current state.
@@ -234,8 +256,8 @@ func (e *stateEngine) run() {
 	// first one whose guards fail.
 	start, moves := len(e.stack), 0
 	for t, chain := range e.chain {
-		for i := e.first[t]; i < e.first[t+1]; i++ {
-			if e.isDone(i) || !e.ready(i) {
+		for i := e.next[t]; i < e.first[t+1]; i++ {
+			if !chain && (e.isDone(i) || !e.ready(i)) {
 				continue
 			}
 			ev := &e.evs[i]
@@ -343,13 +365,14 @@ func (e *stateEngine) stateKey() []byte {
 		b = binary.AppendVarint(b, v)
 	}
 	for _, ts := range e.classes {
+		if len(ts) == 1 {
+			b = e.appendThread(b, ts[0])
+			continue
+		}
 		sub, spans := e.subBuf[:0], e.spans[:0]
 		for _, t := range ts {
 			s := len(sub)
-			sub = append(sub, e.done[e.dfirst[t]:e.dfirst[t+1]]...)
-			for _, r := range e.regs[t] {
-				sub = binary.AppendVarint(sub, r)
-			}
+			sub = e.appendThread(sub, t)
 			spans = append(spans, [2]int{s, len(sub)})
 		}
 		slices.SortFunc(spans, func(x, y [2]int) int { return bytes.Compare(sub[x[0]:x[1]], sub[y[0]:y[1]]) })
@@ -359,5 +382,15 @@ func (e *stateEngine) stateKey() []byte {
 		e.subBuf, e.spans = sub, spans
 	}
 	e.keyBuf = b
+	return b
+}
+
+// appendThread appends thread t's sub-key: its done flags, then its
+// registers.
+func (e *stateEngine) appendThread(b []byte, t int) []byte {
+	b = append(b, e.done[e.dfirst[t]:e.dfirst[t+1]]...)
+	for _, r := range e.regs[t] {
+		b = binary.AppendVarint(b, r)
+	}
 	return b
 }

@@ -109,20 +109,15 @@ func isOrderedAtomic(c core.Class) bool {
 	return c == core.Paired || c == core.Unpaired || c == core.Acquire || c == core.Release
 }
 
-// SystemResults enumerates every final memory state a straightforward
+// SystemResultsWith enumerates every final memory state a straightforward
 // DRFrlx system may produce for the program (quantum accesses execute
 // with their real values — this models the machine, not the
 // quantum-equivalent program). limit bounds the number of explored
-// executions (0 = DefaultLimit).
-func SystemResults(p *litmus.Program, limit int) (map[string]bool, error) {
-	return SystemResultsWith(p, limit, nil)
-}
-
-// SystemResultsWith is SystemResults with instrumentation: the telemetry
-// check (nil = disabled) counts completed system executions, moves and
-// memo hits, and is marked Begin/Finish around the search. The search is
-// the state engine's system instance, so executions that converge on one
-// state up to thread symmetry complete once.
+// executions (0 = DefaultLimit). The telemetry check (nil = disabled)
+// counts completed system executions, moves and memo hits, and is marked
+// Begin/Finish around the search. The search is the state engine's
+// system instance, so executions that converge on one state up to thread
+// symmetry complete once.
 func SystemResultsWith(p *litmus.Program, limit int, tel *telemetry.Check) (map[string]bool, error) {
 	e, err := systemSearch(p, limit, tel)
 	if err != nil {

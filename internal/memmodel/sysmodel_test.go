@@ -12,7 +12,7 @@ import (
 
 func TestSystemModelSBPaired(t *testing.T) {
 	// Paired store buffering: the system must not produce OUT0=OUT1=0.
-	sys, err := SystemResults(litmus.SB("sb", core.Paired), 0)
+	sys, err := SystemResultsWith(litmus.SB("sb", core.Paired), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestSystemModelSBRelaxed(t *testing.T) {
 	// Non-ordering store buffering: the relaxed system reorders the
 	// store and load, producing the non-SC 0,0 outcome — consistent with
 	// the program being illegal (it has a non-ordering race).
-	sys, err := SystemResults(litmus.SB("sb_no", core.NonOrdering), 0)
+	sys, err := SystemResultsWith(litmus.SB("sb_no", core.NonOrdering), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestSystemModelSBRelaxed(t *testing.T) {
 func TestSystemModelPerLocationSC(t *testing.T) {
 	// CoRR: even with fully relaxed accesses, two same-location reads
 	// must not observe values going backwards (per-location SC).
-	sys, err := SystemResults(litmus.CoRR(core.NonOrdering), 0)
+	sys, err := SystemResultsWith(litmus.CoRR(core.NonOrdering), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestSystemModelMPPaired(t *testing.T) {
 	d := t1.Load("D", core.Data)
 	t1.StoreExpr("OUT", litmus.RegExpr(d), core.Data)
 	t1.EndGuards()
-	sys, err := SystemResults(p, 0)
+	sys, err := SystemResultsWith(p, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestSystemModelMPUnpairedWeak(t *testing.T) {
 	d := t1.Load("D", core.Data)
 	t1.StoreExpr("OUT", litmus.RegExpr(d), core.Data)
 	t1.EndGuards()
-	sys, err := SystemResults(p, 0)
+	sys, err := SystemResultsWith(p, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestSystemModelMPReleaseAcquire(t *testing.T) {
 	d := t1.Load("D", core.Data)
 	t1.StoreExpr("OUT", litmus.RegExpr(d), core.Data)
 	t1.EndGuards()
-	sys, err := SystemResults(p, 0)
+	sys, err := SystemResultsWith(p, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

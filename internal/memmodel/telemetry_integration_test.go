@@ -234,7 +234,7 @@ func TestSystemResultsTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := SystemResults(prog, 0)
+	plain, err := SystemResultsWith(prog, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

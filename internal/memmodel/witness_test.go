@@ -91,7 +91,7 @@ func TestWitnessPairReallyRaces(t *testing.T) {
 // in the system-centric model, too.
 func TestClassicShapes(t *testing.T) {
 	// LB paired: r0=r1=1 impossible in both SC and system model.
-	sys, err := SystemResults(litmus.LB("lb", core.Paired).Under(core.DRFrlx), 0)
+	sys, err := SystemResultsWith(litmus.LB("lb", core.Paired).Under(core.DRFrlx), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

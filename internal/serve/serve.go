@@ -600,8 +600,20 @@ func (s *Service) admit(ctx context.Context, traceID string) (func(), error) {
 // finished): queue dwell and the check itself become children under it,
 // and the engine's telemetry block is linked to the leader's trace ID.
 // key is the cache/singleflight key (mode-suffixed for solve requests).
+// A flight whose key is already cached returns that verdict, counted as
+// a cache hit, without taking a slot.
 func (s *Service) admitAndCheck(ctx context.Context, canon *memmodel.Canonical, model core.Model, mode memmodel.Mode, key string, sp *rtrace.Span) (*memmodel.Verdict, error) {
 	tid := sp.TraceID()
+	// A duplicate can miss the cache while an identical flight runs and
+	// reach the single flight after that one has filled the cache and
+	// left.
+	if s.cache != nil {
+		if v, ok := s.cache.get(key); ok {
+			s.hit(&s.m.cacheHits, tid)
+			sp.Event("cache_hit")
+			return v, nil
+		}
+	}
 	qs := sp.Child("queue")
 	release, err := s.admit(ctx, tid)
 	qs.End()

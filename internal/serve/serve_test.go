@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"rats/internal/core"
 	"rats/internal/litmus"
 	"rats/internal/memmodel"
 )
@@ -198,6 +199,37 @@ func TestSingleFlightCollapsesConcurrentDuplicates(t *testing.T) {
 	// first fill, but with identical keys single-flight admits only one.
 	if st := s.Stats(); st.Checked != 1 {
 		t.Errorf("checked=%d, want exactly 1 (single-flight collapse)", st.Checked)
+	}
+}
+
+// TestSequentialFlightsCheckOnce: a duplicate can miss the verdict
+// cache while an identical check is still running, then reach the
+// single flight after that check has filled the cache and left it. Its
+// own flight must serve the cached verdict instead of checking again.
+func TestSequentialFlightsCheckOnce(t *testing.T) {
+	s := New(Options{})
+	canon, err := memmodel.Canonicalize(litmus.ByName("IRIW").Prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := canon.Key + "|" + core.DRFrlx.String()
+	flight := func(ctx context.Context) (*memmodel.Verdict, error) {
+		return s.admitAndCheck(ctx, canon, core.DRFrlx, memmodel.ModeEnumerate, key, nil)
+	}
+	var first *memmodel.Verdict
+	for i := 0; i < 2; i++ {
+		v, coalesced, err := s.group.do(context.Background(), key, flight)
+		if err != nil || coalesced {
+			t.Fatalf("flight %d: coalesced=%v err=%v, want a flight of its own", i, coalesced, err)
+		}
+		if i == 0 {
+			first = v
+		} else if v != first {
+			t.Errorf("second flight returned %p, want the cached verdict %p", v, first)
+		}
+	}
+	if st := s.Stats(); st.Checked != 1 || st.CacheHits != 1 {
+		t.Errorf("checked=%d cacheHits=%d, want 1 and 1", st.Checked, st.CacheHits)
 	}
 }
 
