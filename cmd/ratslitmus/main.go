@@ -45,9 +45,6 @@ import (
 	"rats/internal/memmodel"
 	"rats/internal/memmodel/telemetry"
 	"rats/internal/obs"
-
-	// Registers the constraint-solving backend behind -mode solve.
-	_ "rats/internal/memmodel/solve"
 )
 
 func main() {

@@ -12,9 +12,6 @@ import (
 	"rats/internal/memmodel"
 	"rats/internal/memmodel/telemetry"
 	"rats/internal/obs"
-
-	// Registers the constraint-solving backend behind Mode "solve".
-	_ "rats/internal/memmodel/solve"
 )
 
 // smallSuite keeps sweep tests fast: a handful of cases spanning legal

@@ -59,7 +59,7 @@ func BenchmarkEnumerate(b *testing.B) {
 }
 
 // BenchmarkAnalyze measures per-execution race classification on catalog
-// programs: "arena" reuses one Analyzer across executions (the streaming
+// programs: "arena" reuses one analyzer across executions (the streaming
 // pipeline's steady state — the allocs/op floor the CI gate enforces),
 // "fresh" allocates a new arena per execution (the old behaviour of the
 // package-level Analyze).
@@ -72,7 +72,7 @@ func BenchmarkAnalyze(b *testing.B) {
 		}
 		b.Run(name+"/arena", func(b *testing.B) {
 			b.ReportAllocs()
-			an := NewAnalyzer()
+			an := new(analyzer)
 			for i := 0; i < b.N; i++ {
 				an.Analyze(execs[i%len(execs)])
 			}
@@ -128,7 +128,7 @@ func BenchmarkCheckProgram(b *testing.B) {
 	}
 }
 
-// BenchmarkSolve compares the constraint-solving backend (Mode: solve)
+// BenchmarkSolve compares the constraint solver (Mode: solve)
 // against the streaming enumeration pipeline on contention-dominated
 // programs — the shape POR cannot reduce, because every increment
 // conflicts with every other. contended(5,2) is the ratio pair the CI
@@ -176,7 +176,7 @@ func BenchmarkSystemResults(b *testing.B) {
 	p := benchProgram(b, "RefCounterTwo")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := SystemResultsWith(p, 0, nil); err != nil {
+		if _, err := systemSearch(p, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

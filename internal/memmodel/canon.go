@@ -218,7 +218,7 @@ func guardSig(g litmus.Guard) string {
 // opSig serializes one op under the current location labels, for the
 // refinement pass. It intentionally mirrors normalizeOp's view of what
 // matters semantically. It renders with appends, not fmt: the
-// canonicalizer and SymmetryKey call it for every op of every check.
+// canonicalizer and symmetryKey call it for every op of every check.
 func opSig(o litmus.Op, locLabel map[litmus.Loc]string) string {
 	if o.IsBranch {
 		return string(appendExprSig([]byte("b:"), o.Cond))
@@ -253,13 +253,13 @@ func threadSig(t *litmus.Thread, locLabel map[litmus.Loc]string) string {
 	return strings.Join(sigs, "\x02")
 }
 
-// SymmetryKey serializes a thread by its register count and every
+// symmetryKey serializes a thread by its register count and every
 // semantic field of its ops (class, atomic op, location name,
 // destination register, operand and expected expressions, address
 // dependencies, guards, branch conditions). Two threads of one program
 // with equal keys are interchangeable: swapping them is a program
 // automorphism, which is what thread-symmetry reductions rely on.
-func SymmetryKey(t *litmus.Thread) string {
+func symmetryKey(t *litmus.Thread) string {
 	names := map[litmus.Loc]string{}
 	for i := range t.Ops {
 		if !t.Ops[i].IsBranch {
@@ -269,14 +269,14 @@ func SymmetryKey(t *litmus.Thread) string {
 	return strconv.Itoa(t.NumRegs()) + "\x00" + threadSig(t, names)
 }
 
-// SymmetryClasses groups p's threads by SymmetryKey: classOf[t] is thread
+// symmetryClasses groups p's threads by symmetryKey: classOf[t] is thread
 // t's class, and classes lists each class's threads in index order, the
 // classes ordered by their first thread.
-func SymmetryClasses(p *litmus.Program) (classOf []int, classes [][]int) {
+func symmetryClasses(p *litmus.Program) (classOf []int, classes [][]int) {
 	sig := map[string]int{}
 	classOf = make([]int, len(p.Threads))
 	for t, th := range p.Threads {
-		key := SymmetryKey(th)
+		key := symmetryKey(th)
 		ci, ok := sig[key]
 		if !ok {
 			ci = len(classes)

@@ -146,7 +146,7 @@ func TestSymmetryKeySeparatesSemanticFields(t *testing.T) {
 		} else {
 			th.Load("Z", core.Data)
 		}
-		return SymmetryKey(th)
+		return symmetryKey(th)
 	}
 	base := variant{stored: 1, expected: 0, guard: litmus.NZ}
 	keys := map[string]string{"base": build(base)}

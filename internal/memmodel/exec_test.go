@@ -206,7 +206,7 @@ func TestQuantumDomainDerivation(t *testing.T) {
 	p.SetInit("X", 5)
 	t0 := p.Thread("t0")
 	t0.Store("X", 9, core.Quantum)
-	dom := QuantumDomain(p)
+	dom := quantumDomain(p)
 	want := map[int64]bool{0: true, 1: true, 5: true, 9: true}
 	if len(dom) != len(want) {
 		t.Fatalf("domain %v", dom)

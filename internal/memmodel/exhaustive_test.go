@@ -92,11 +92,11 @@ func TestExhaustiveTheoremSmallPrograms(t *testing.T) {
 							continue
 						}
 						legal++
-						sys, err := SystemResultsWith(p, 0, nil)
+						sys, err := systemSearch(p, 0, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
-						for k := range sys {
+						for k := range sys.results {
 							if !v.SCResults[k] {
 								violations++
 								t.Errorf("theorem violated: shape %d classes %v result %s", si, cls, k)

@@ -38,7 +38,7 @@ func orderStats(t *testing.T, p *litmus.Program, m core.Model) (execs, orders in
 // its Order with an earlier one has the same races.
 func TestOrderDeterminesRaces(t *testing.T) {
 	for _, tc := range litmus.Suite() {
-		an := NewAnalyzer()
+		an := new(analyzer)
 		first := map[string][NumRaceKinds][][2]int{}
 		repeats := 0
 		_, err := Enumerate(tc.Prog.Under(core.DRFrlx), EnumOptions{

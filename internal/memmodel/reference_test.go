@@ -9,15 +9,12 @@ import (
 // checkTwoPhase is the memo-free two-phase reference for CheckProgram: it
 // enumerates every SC execution of the quantum-equivalent program into a
 // slice (without the order memo), then analyzes them serially with one
-// Analyzer into one verdict shard. It makes the same telemetry
+// analyzer into one verdict shard. It makes the same telemetry
 // calls on tel (nil disables them) as the checker, so the two must agree
 // on the verdict and on the deterministic telemetry Record.
 func checkTwoPhase(p0 *litmus.Program, m core.Model, tel *telemetry.Check) (*Verdict, error) {
 	p := p0.Under(m)
-	kinds := []RaceKind{DataRace}
-	if m == core.DRFrlx {
-		kinds = RaceKinds()
-	}
+	kinds := forbiddenKinds(m)
 	tel.Begin(DefaultLimit)
 	execs, err := Enumerate(p, EnumOptions{Quantum: true, Telemetry: tel})
 	if err != nil {
@@ -25,7 +22,7 @@ func checkTwoPhase(p0 *litmus.Program, m core.Model, tel *telemetry.Check) (*Ver
 		return nil, err
 	}
 	pv := newPartialVerdict()
-	an := NewAnalyzer()
+	an := new(analyzer)
 	w := tel.Worker()
 	for _, ex := range execs {
 		pv.add(an.Analyze(ex), kinds)

@@ -7,13 +7,13 @@ import (
 	"rats/internal/memmodel/rel"
 )
 
-// Relations bundles the per-execution relations of Sections 2.3 and 3.3:
+// relations bundles the per-execution relations of Sections 2.3 and 3.3:
 // program order, the paper's conflict order (all conflicting accesses
 // ordered by the SC total order T — a superset of Herd's co/rf/fr),
 // synchronization order so1, happens-before hb1, and the derived
 // program/conflict-graph reachability relations the non-ordering detector
 // needs.
-type Relations struct {
+type relations struct {
 	N int
 	// Core relations.
 	PO       rel.Rel // program order
@@ -38,20 +38,21 @@ type Relations struct {
 	ValidPath      rel.Rel // hb1 ∪ homogeneous valid ordering paths
 }
 
-// Analyzer is a reusable race-analysis context: it owns every relation,
-// bitset, and pair buffer BuildRelations and Analyze need, so repeated
+// analyzer is a reusable race-analysis context: it owns every relation,
+// bitset, and pair buffer buildRelations and Analyze need, so repeated
 // analyses of executions from the same program run with ~zero allocations
-// per execution. The *Relations and *Analysis it returns borrow the
-// arena: they are valid until the next BuildRelations/Analyze call on the
-// same Analyzer. An Analyzer must not be used from multiple goroutines
-// concurrently; the streaming CheckProgram pipeline gives each analysis
-// worker its own.
-type Analyzer struct {
+// per execution. The *relations and *Analysis it returns borrow the
+// arena: they are valid until the next buildRelations/Analyze call on the
+// same analyzer. An analyzer must not be used from multiple goroutines
+// concurrently. Its zero value is empty: it sizes itself lazily to the
+// first program analyzed and re-sizes transparently when fed executions
+// of a different program.
+type analyzer struct {
 	prog *litmus.Program
 	lay  eventLayout
 	n    int
 
-	rels Relations
+	rels relations
 
 	// Scratch relations.
 	tBefore  rel.Rel // T-earlier × T-later over present events
@@ -107,14 +108,9 @@ type Analyzer struct {
 	analysis Analysis
 }
 
-// NewAnalyzer returns an empty analysis arena. It sizes itself lazily to
-// the first program analyzed and re-sizes transparently when fed
-// executions of a different program.
-func NewAnalyzer() *Analyzer { return &Analyzer{} }
-
 // ensure re-dimensions the arena for p's event layout. Repeated calls for
 // the same program are pointer-compare cheap.
-func (a *Analyzer) ensure(p *litmus.Program) {
+func (a *analyzer) ensure(p *litmus.Program) {
 	if a.prog == p {
 		return
 	}
@@ -275,66 +271,6 @@ func (a *Analyzer) ensure(p *litmus.Program) {
 	}
 }
 
-// StaticTables is the per-program, execution-independent slice of the
-// analysis arena: the event numbering, access-kind flags, class masks,
-// synchronization candidate sets, and the observability precompute that
-// ensure computes once per program. The solve backend reuses it as its
-// constraint store — candidate race pairs and the static happens-before
-// over-approximation are derived from these tables with the same
-// word-parallel rel kernels the per-execution analysis uses, instead of
-// being rebuilt per execution.
-//
-// The slices alias the arena: they are valid until the Analyzer is next
-// fed a different program, and must not be mutated.
-type StaticTables struct {
-	// N is the event count; ID[t][i] is the event ID of thread t's op i
-	// (-1 for branch markers).
-	N  int
-	ID [][]int
-	// Thread and Loc give each event's issuing thread and location index
-	// (into Locs); Writes/Reads/Class are the event's static access facts.
-	Thread []int
-	Loc    []int
-	Locs   []litmus.Loc
-	Writes []bool
-	Reads  []bool
-	Class  []core.Class
-	// ClassBits[c] is the event set of class c; PW/PR are the so1 edge
-	// candidates (paired/release writes, paired/acquire reads); Atomic is
-	// the atomic event set.
-	ClassBits []rel.Bits
-	PW, PR    rel.Bits
-	Atomic    rel.Bits
-	// ObsAlways marks events whose loaded value feeds a later branch
-	// condition or guard (observed whenever present); ObsUse lists the
-	// later same-thread events whose address/data/expected inputs read
-	// the destination register (observed only when that user is present).
-	ObsAlways []bool
-	ObsUse    [][]int
-}
-
-// Static re-dimensions the arena for p and exposes its static tables.
-// Repeated calls for the same program are pointer-compare cheap.
-func (a *Analyzer) Static(p *litmus.Program) StaticTables {
-	a.ensure(p)
-	return StaticTables{
-		N:         a.n,
-		ID:        a.lay.id,
-		Thread:    a.evThread,
-		Loc:       a.evLoc,
-		Locs:      a.lay.locs,
-		Writes:    a.evWrites,
-		Reads:     a.evReads,
-		Class:     a.evClass,
-		ClassBits: a.classBits,
-		PW:        a.pwStatic,
-		PR:        a.prStatic,
-		Atomic:    a.atomicStatic,
-		ObsAlways: a.obsAlways,
-		ObsUse:    a.obsUse,
-	}
-}
-
 // boolBuf resizes a reusable []bool buffer.
 func boolBuf(b []bool, n int) []bool {
 	if cap(b) < n {
@@ -349,7 +285,7 @@ func boolBuf(b []bool, n int) []bool {
 // (the misspeculated seqlock read whose value is discarded), which is why
 // obsUse entries are gated on the user's presence, while obsAlways
 // (branch/guard uses) holds unconditionally.
-func (a *Analyzer) observedInto(out []bool, ex *Execution) {
+func (a *analyzer) observedInto(out []bool, ex *Execution) {
 	for id := range out {
 		o := false
 		if ex.Present[id] {
@@ -368,17 +304,10 @@ func (a *Analyzer) observedInto(out []bool, ex *Execution) {
 	}
 }
 
-// BuildRelations computes all relations for one execution into a fresh
-// arena. Callers analyzing many executions should allocate one Analyzer
-// and use its BuildRelations method instead.
-func BuildRelations(ex *Execution) *Relations {
-	return NewAnalyzer().BuildRelations(ex)
-}
-
-// BuildRelations computes all relations for one execution in the
-// analyzer's arena. The returned *Relations is valid until the next
-// BuildRelations/Analyze call.
-func (a *Analyzer) BuildRelations(ex *Execution) *Relations {
+// buildRelations computes all relations for one execution in the
+// analyzer's arena. The returned *relations is valid until the next
+// buildRelations/Analyze call.
+func (a *analyzer) buildRelations(ex *Execution) *relations {
 	a.ensure(ex.Prog)
 	n := a.n
 	r := &a.rels

@@ -40,7 +40,7 @@ func TestSO1AndHB1OnMP(t *testing.T) {
 		f := eventAt(ex, 1, 0)
 		return f != nil && f.Loaded == 1
 	})
-	r := BuildRelations(ex)
+	r := new(analyzer).buildRelations(ex)
 	dStore := eventAt(ex, 0, 0).ID
 	fStore := eventAt(ex, 0, 1).ID
 	fLoad := eventAt(ex, 1, 0).ID
@@ -75,7 +75,7 @@ func TestConflictOrderFollowsT(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ex := range execs {
-		r := BuildRelations(ex)
+		r := new(analyzer).buildRelations(ex)
 		first, second := ex.Order[0], ex.Order[1]
 		if !r.CO.Has(first, second) || r.CO.Has(second, first) {
 			t.Fatal("conflict order must follow T exactly")
@@ -94,7 +94,7 @@ func TestHB1IsTransitiveAndAcyclic(t *testing.T) {
 			t.Fatalf("%s: enumeration failed: %v", tc.Prog.Name, err)
 		}
 		for _, ex := range execs {
-			r := BuildRelations(ex)
+			r := new(analyzer).buildRelations(ex)
 			// Transitivity: hb1;hb1 ⊆ hb1.
 			if !r.HB1.Compose(r.HB1).Diff(r.HB1).Empty() {
 				t.Fatalf("%s: hb1 not transitive", tc.Prog.Name)
@@ -133,7 +133,7 @@ func TestObservedSetGuardsAlwaysCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel := BuildRelations(execs[0])
+	rel := new(analyzer).buildRelations(execs[0])
 	if !rel.Observed[0] {
 		t.Error("guard-feeding load must be observed")
 	}
@@ -153,7 +153,7 @@ func TestObservedSetSkippedOperandUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel := BuildRelations(execs[0])
+	rel := new(analyzer).buildRelations(execs[0])
 	if rel.Observed[1] {
 		t.Error("speculative load observed despite its only use being skipped")
 	}

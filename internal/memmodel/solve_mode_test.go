@@ -8,13 +8,10 @@ import (
 	"rats/internal/core"
 	"rats/internal/litmus"
 	"rats/internal/memmodel"
-
-	// Registers the solve backend for CheckOptions.Mode "solve".
-	_ "rats/internal/memmodel/solve"
 )
 
 // TestCheckProgramWithModeSolve exercises the dispatch path callers use:
-// CheckOptions.Mode "solve" must route through the registered backend
+// CheckOptions.Mode "solve" must route through the constraint solver
 // and agree with default enumeration on the whole suite (Execs excluded:
 // the solver counts only confirmation-phase executions).
 func TestCheckProgramWithModeSolve(t *testing.T) {

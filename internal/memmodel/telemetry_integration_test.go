@@ -186,7 +186,7 @@ func TestLimitErrorStructured(t *testing.T) {
 	}
 
 	sysTel := telemetry.NewCheck("IRIW/system", "system")
-	_, err = SystemResultsWith(litmus.IRIW().Under(core.DRFrlx), 2, sysTel)
+	_, err = systemSearch(litmus.IRIW().Under(core.DRFrlx), 2, sysTel)
 	if !errors.Is(err, ErrLimit) {
 		t.Fatalf("system model: want ErrLimit, got %v", err)
 	}
@@ -230,16 +230,16 @@ func TestWeightSaturates(t *testing.T) {
 func TestSystemResultsTelemetry(t *testing.T) {
 	prog := litmus.IRIW().Under(core.DRFrlx)
 	c := telemetry.NewCheck(prog.Name, "system")
-	instrumented, err := SystemResultsWith(prog, 0, c)
+	instrumented, err := systemSearch(prog, 0, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := SystemResultsWith(prog, 0, nil)
+	plain, err := systemSearch(prog, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(instrumented) != len(plain) {
-		t.Errorf("instrumented results = %d, plain = %d", len(instrumented), len(plain))
+	if len(instrumented.results) != len(plain.results) {
+		t.Errorf("instrumented results = %d, plain = %d", len(instrumented.results), len(plain.results))
 	}
 	if c.State() != telemetry.StateDone {
 		t.Errorf("state = %v, want done", c.State())

@@ -35,12 +35,9 @@ func FindWitness(p *litmus.Program, m core.Model) (*Witness, error) {
 // it. The search-shape fields (Quantum, Visit) are owned by the witness
 // search and overridden.
 func FindWitnessWith(p *litmus.Program, m core.Model, opts EnumOptions) (*Witness, error) {
-	kinds := []RaceKind{DataRace}
-	if m == core.DRFrlx {
-		kinds = RaceKinds()
-	}
+	kinds := forbiddenKinds(m)
 	var w *Witness
-	an := NewAnalyzer()
+	an := new(analyzer)
 	opts.Quantum = true
 	opts.Visit = func(ex *Execution) error {
 		a := an.Analyze(ex)

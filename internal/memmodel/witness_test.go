@@ -80,7 +80,7 @@ func TestWitnessPairReallyRaces(t *testing.T) {
 		if w == nil {
 			t.Fatalf("%s: no witness", prog.Name)
 		}
-		r := BuildRelations(w.Exec)
+		r := new(analyzer).buildRelations(w.Exec)
 		if !r.Race.Has(w.Pair[0], w.Pair[1]) {
 			t.Errorf("%s: witness pair %v is not racing", prog.Name, w.Pair)
 		}
@@ -91,11 +91,11 @@ func TestWitnessPairReallyRaces(t *testing.T) {
 // in the system-centric model, too.
 func TestClassicShapes(t *testing.T) {
 	// LB paired: r0=r1=1 impossible in both SC and system model.
-	sys, err := SystemResultsWith(litmus.LB("lb", core.Paired).Under(core.DRFrlx), 0, nil)
+	sys, err := systemSearch(litmus.LB("lb", core.Paired).Under(core.DRFrlx), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys["OUT0=1;OUT1=1;X=1;Y=1;"] {
+	if sys.results["OUT0=1;OUT1=1;X=1;Y=1;"] {
 		t.Error("paired LB produced the forbidden 1,1 outcome")
 	}
 	// 2+2W same-value commutative: final state unique regardless of order.

@@ -28,10 +28,6 @@ import (
 	"rats/internal/memmodel"
 	"rats/internal/memmodel/telemetry"
 	"rats/internal/rtrace"
-
-	// Registers the constraint-solving backend so requests may opt into
-	// "mode": "solve".
-	_ "rats/internal/memmodel/solve"
 )
 
 // TraceHeader is the response header carrying the request's trace ID.
