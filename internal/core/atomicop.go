@@ -67,9 +67,6 @@ func (op AtomicOp) String() string {
 	return fmt.Sprintf("AtomicOp(%d)", uint8(op))
 }
 
-// IsRMW reports whether the operation both reads and writes its location.
-func (op AtomicOp) IsRMW() bool { return op != OpLoad && op != OpStore }
-
 // Writes reports whether the operation may modify its location. OpCAS
 // conservatively counts as writing.
 func (op AtomicOp) Writes() bool { return op != OpLoad }

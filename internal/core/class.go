@@ -69,18 +69,6 @@ func Classes() []Class {
 // IsAtomic reports whether the class is any flavour of atomic.
 func (c Class) IsAtomic() bool { return c != Data }
 
-// IsRelaxed reports whether the class is one of the four DRFrlx relaxed
-// categories (commutative, non-ordering, quantum, speculative). Per
-// Section 3.6, all four allow the same system optimizations and are merged
-// into a single "relaxed" category for implementation purposes.
-func (c Class) IsRelaxed() bool {
-	switch c {
-	case Commutative, NonOrdering, Quantum, Speculative:
-		return true
-	}
-	return false
-}
-
 // OrdersLikePaired reports whether the class synchronizes (creates
 // happens-before edges) like a paired access: paired itself, plus the
 // acquire/release extension classes.

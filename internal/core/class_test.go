@@ -46,11 +46,7 @@ func TestClassPredicates(t *testing.T) {
 			t.Errorf("%v must be atomic", c)
 		}
 	}
-	relaxed := map[Class]bool{Commutative: true, NonOrdering: true, Quantum: true, Speculative: true}
 	for _, c := range Classes() {
-		if c.IsRelaxed() != relaxed[c] {
-			t.Errorf("%v.IsRelaxed() = %v, want %v", c, c.IsRelaxed(), relaxed[c])
-		}
 		if !c.Valid() {
 			t.Errorf("%v should be valid", c)
 		}
@@ -229,14 +225,14 @@ func TestModelStringParse(t *testing.T) {
 }
 
 func TestOpPredicates(t *testing.T) {
-	if OpLoad.Writes() || !OpLoad.Reads() || OpLoad.IsRMW() {
+	if OpLoad.Writes() || !OpLoad.Reads() {
 		t.Error("load predicates wrong")
 	}
-	if !OpStore.Writes() || OpStore.Reads() || OpStore.IsRMW() {
+	if !OpStore.Writes() || OpStore.Reads() {
 		t.Error("store predicates wrong")
 	}
 	for _, op := range []AtomicOp{OpAdd, OpSub, OpInc, OpDec, OpAnd, OpOr, OpXor, OpMin, OpMax, OpExchange, OpCAS} {
-		if !op.IsRMW() || !op.Writes() || !op.Reads() {
+		if !op.Writes() || !op.Reads() {
 			t.Errorf("%v must be a full RMW", op)
 		}
 	}

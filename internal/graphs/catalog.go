@@ -1,7 +1,5 @@
 package graphs
 
-import "sort"
-
 // The paper's BC inputs are rome99 (road network), nasa1824 and ex33
 // (FEM matrices), and c-22 (optimization matrix); its PageRank inputs are
 // c-37, c-36, ex3, and c-40. Absent the University of Florida collection,
@@ -41,14 +39,4 @@ func ByName(name string) *Graph {
 		}
 	}
 	return nil
-}
-
-// Names lists all catalog graph names, sorted.
-func Names() []string {
-	var out []string
-	for _, g := range append(BCInputs(), PRInputs()...) {
-		out = append(out, g.Name)
-	}
-	sort.Strings(out)
-	return out
 }

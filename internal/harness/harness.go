@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"rats/internal/core"
-	"rats/internal/energy"
 	"rats/internal/fault"
 	"rats/internal/memmodel/telemetry"
 	"rats/internal/obs"
@@ -568,11 +567,4 @@ func Table4() string {
 		fmt.Fprintf(&b, "  %-46s %6s %6s %8s\n", row.Name, mark(row.Has[0]), mark(row.Has[1]), mark(row.Has[2]))
 	}
 	return b.String()
-}
-
-// EnergyModelDescription documents the energy components for reports.
-func EnergyModelDescription() string {
-	m := energy.DefaultModel()
-	return fmt.Sprintf("energy model (pJ/event): core=%.0f scratch=%.0f l1=%.0f l2=%.0f dram=%.0f flit-hop=%.0f",
-		m.CoreOp, m.ScratchAccess, m.L1Access, m.L2Access, m.DRAMAccess, m.FlitHop)
 }

@@ -129,9 +129,6 @@ func TestTablesRender(t *testing.T) {
 			t.Errorf("Table4 missing %q", want)
 		}
 	}
-	if !strings.Contains(EnergyModelDescription(), "pJ") {
-		t.Error("energy description wrong")
-	}
 }
 
 func TestTable2LatencyRangesMatchPaper(t *testing.T) {

@@ -23,10 +23,10 @@ const (
 // ready to use, and plain assignment copies it (value semantics), which
 // Snapshot-style APIs rely on.
 type Histogram struct {
-	counts   [numBuckets]int64
-	count    int64
-	sum      int64
-	min, max int64
+	counts [numBuckets]int64
+	count  int64
+	sum    int64
+	max    int64
 }
 
 // bucketIndex maps a non-negative value to its bucket.
@@ -59,9 +59,6 @@ func (h *Histogram) Record(v int64) {
 		v = 0
 	}
 	h.counts[bucketIndex(v)]++
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
 	if v > h.max {
 		h.max = v
 	}
@@ -77,9 +74,6 @@ func (h *Histogram) Sum() int64 { return h.sum }
 
 // Max returns the largest recorded observation (0 when empty).
 func (h *Histogram) Max() int64 { return h.max }
-
-// Min returns the smallest recorded observation (0 when empty).
-func (h *Histogram) Min() int64 { return h.min }
 
 // Mean returns the arithmetic mean (0 when empty).
 func (h *Histogram) Mean() float64 {
@@ -124,9 +118,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 func (h *Histogram) Merge(o *Histogram) {
 	if o.count == 0 {
 		return
-	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
 	}
 	if o.max > h.max {
 		h.max = o.max

@@ -207,9 +207,6 @@ func TestBitsMatchesBoolSets(t *testing.T) {
 		}
 		s := MakeBits(n)
 		s.CopyFrom(a)
-		s.OrIn(b)
-		check("OrIn", s, func(x, y bool) bool { return x || y })
-		s.CopyFrom(a)
 		s.AndIn(b)
 		check("AndIn", s, func(x, y bool) bool { return x && y })
 		s.CopyFrom(a)

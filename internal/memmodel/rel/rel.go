@@ -90,14 +90,6 @@ func (s Bits) Reset() {
 // CopyFrom overwrites s with o.
 func (s Bits) CopyFrom(o Bits) { s.checkLen(o); copy(s.b, o.b) }
 
-// OrIn adds every element of o (s ∪= o).
-func (s Bits) OrIn(o Bits) {
-	s.checkLen(o)
-	for i, w := range o.b {
-		s.b[i] |= w
-	}
-}
-
 // AndIn keeps only elements also in o (s ∩= o).
 func (s Bits) AndIn(o Bits) {
 	s.checkLen(o)

@@ -8,7 +8,6 @@ package report
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -109,38 +108,6 @@ func (t *Table) Render(format string, withGeomean bool) string {
 	return b.String()
 }
 
-// Bars renders a per-row ASCII bar chart of one column group, scaled so
-// the longest bar is width characters.
-func (t *Table) Bars(width int) string {
-	var b strings.Builder
-	max := 0.0
-	for _, r := range t.Rows {
-		for _, c := range t.Cols {
-			if v := t.Get(r, c); v > max {
-				max = v
-			}
-		}
-	}
-	if max <= 0 {
-		return ""
-	}
-	w := 10
-	for _, r := range t.Rows {
-		if len(r) > w {
-			w = len(r)
-		}
-	}
-	for _, r := range t.Rows {
-		for _, c := range t.Cols {
-			v := t.Get(r, c)
-			n := int(v / max * float64(width))
-			fmt.Fprintf(&b, "%-*s %-5s %s %.3f\n", w+1, r, c, strings.Repeat("#", n), v)
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
 // StackedTable holds per-row, per-column component breakdowns (the
 // energy figures).
 type StackedTable struct {
@@ -204,20 +171,6 @@ func (t *StackedTable) Render(refCol string) string {
 			fmt.Fprintf(&b, "%10.3f\n", t.Total(r, c)/ref)
 		}
 		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// KV renders a sorted key/value block (for stats dumps).
-func KV(m map[string]float64) string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%-40s %12.4f\n", k, m[k])
 	}
 	return b.String()
 }

@@ -57,9 +57,6 @@ func TestTable(t *testing.T) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
 	}
-	if bars := tb.Bars(20); !strings.Contains(bars, "#") {
-		t.Error("bars missing")
-	}
 }
 
 func TestRowOrderPreserved(t *testing.T) {
@@ -87,13 +84,5 @@ func TestStackedTable(t *testing.T) {
 	}
 	if !strings.Contains(out, "energy") {
 		t.Error("title missing")
-	}
-}
-
-func TestKV(t *testing.T) {
-	out := KV(map[string]float64{"bbb": 2, "aaa": 1})
-	ai, bi := strings.Index(out, "aaa"), strings.Index(out, "bbb")
-	if ai < 0 || bi < 0 || ai > bi {
-		t.Errorf("KV not sorted:\n%s", out)
 	}
 }

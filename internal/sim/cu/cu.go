@@ -236,31 +236,38 @@ func (c *CU) linesOf(addrs []uint64) []uint64 {
 
 // canIssue evaluates the consistency gates for a warp's next op.
 func (c *CU) canIssue(w *warpState, op *trace.Op) bool {
+	return c.issueGate(w, op) == probe.StallNone
+}
+
+// issueGate is the consistency and per-warp MLP gate on a warp's next op:
+// StallNone when the op may issue, otherwise the reason it may not.
+func (c *CU) issueGate(w *warpState, op *trace.Op) probe.StallReason {
 	if !op.Kind.IsMem() && op.Kind != trace.Barrier && op.Kind != trace.Join {
-		return true
+		return probe.StallNone
 	}
 	if op.Kind == trace.Barrier || op.Kind == trace.Join {
 		// Barriers carry paired semantics; joins model register
 		// dependencies: both wait for everything outstanding.
-		return w.outLoads == 0 && w.outAtomics == 0
+		if w.outLoads > 0 || w.outAtomics > 0 {
+			return probe.StallMemory
+		}
+		return probe.StallNone
 	}
 	b := c.env.Cfg.Behavior(op.Class)
-	if b.Overlap == core.OverlapNone {
-		if w.outLoads > 0 || w.outAtomics > 0 {
-			return false
-		}
+	if b.Overlap == core.OverlapNone && (w.outLoads > 0 || w.outAtomics > 0) {
+		return probe.StallConsistency
 	}
 	if b.Overlap == core.OverlapAtomicSerial && op.Kind == trace.Atomic && w.outAtomics > 0 {
-		return false
+		return probe.StallConsistency
 	}
 	// Bound per-warp MLP (instructions in flight).
 	if w.outLoads+w.outAtomics >= c.env.Cfg.MaxOutstandingPerWarp {
-		return false
+		return probe.StallMemory
 	}
 	if op.Kind == trace.Atomic && w.outAtomics >= c.env.Cfg.MaxOutstandingAtomicsPerWarp {
-		return false
+		return probe.StallMemory
 	}
-	return true
+	return probe.StallNone
 }
 
 // issueOp performs the consistency actions and enqueues the op's
@@ -674,7 +681,7 @@ func (c *CU) Diag(cycle int64) []WarpDiag {
 func (c *CU) RetiredWarps() int { return c.retired }
 
 // stallReasonOf classifies why a warp cannot issue this cycle (probe
-// attribution; mirrors the gates in canIssue/issueOp).
+// attribution): issueGate, then issueOp's coalescer-space check.
 func (c *CU) stallReasonOf(w *warpState, cycle int64) probe.StallReason {
 	switch {
 	case w.done:
@@ -697,27 +704,8 @@ func (c *CU) stallReasonOf(w *warpState, cycle int64) probe.StallReason {
 		return probe.StallFault
 	}
 	op := &w.ops.Ops[w.pc]
-	if !op.Kind.IsMem() && op.Kind != trace.Barrier && op.Kind != trace.Join {
-		return probe.StallNone
-	}
-	if op.Kind == trace.Barrier || op.Kind == trace.Join {
-		if w.outLoads > 0 || w.outAtomics > 0 {
-			return probe.StallMemory
-		}
-		return probe.StallNone
-	}
-	b := c.env.Cfg.Behavior(op.Class)
-	if b.Overlap == core.OverlapNone && (w.outLoads > 0 || w.outAtomics > 0) {
-		return probe.StallConsistency
-	}
-	if b.Overlap == core.OverlapAtomicSerial && op.Kind == trace.Atomic && w.outAtomics > 0 {
-		return probe.StallConsistency
-	}
-	if w.outLoads+w.outAtomics >= c.env.Cfg.MaxOutstandingPerWarp {
-		return probe.StallMemory
-	}
-	if op.Kind == trace.Atomic && w.outAtomics >= c.env.Cfg.MaxOutstandingAtomicsPerWarp {
-		return probe.StallMemory
+	if r := c.issueGate(w, op); r != probe.StallNone || !op.Kind.IsMem() {
+		return r
 	}
 	var txns int
 	switch op.Kind {
