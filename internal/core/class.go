@@ -10,7 +10,8 @@
 // (internal/memmodel) uses the classes to detect the paper's five illegal
 // race categories, and the timing simulator (internal/sim) uses the model
 // policies to decide when to self-invalidate caches, flush store buffers,
-// and overlap atomics.
+// and overlap atomics. Model.Keeps is the one ordering rule that the race
+// checker, the system model and the simulated CU share.
 package core
 
 import "fmt"
@@ -47,14 +48,21 @@ const (
 	// loads (Section 3.5).
 	Speculative
 	// Acquire is the Section 7 extension: a load with acquire ordering —
-	// it self-invalidates like a paired load but does not serialize the
-	// pipeline behind a full SC fence. Treated as paired by the race
-	// checker (sound on a multi-copy-atomic machine like the simulated
-	// one).
+	// it self-invalidates like a paired load and holds every later access
+	// of its thread, without a paired load's full SC fence. The race
+	// checker makes it an so1 target, like a paired read (sound on a
+	// multi-copy-atomic machine like the simulated one). A store labelled
+	// acquire is no acquire: it orders like an unpaired atomic
+	// (Model.Keeps), and the race checker treats it as neither an so1
+	// endpoint nor paired or unpaired.
 	Acquire
 	// Release is the Section 7 extension: a store with release ordering —
-	// it flushes the store buffer like a paired store without the full
-	// SC fence. Treated as paired by the race checker.
+	// it flushes the store buffer like a paired store and waits for every
+	// earlier access of its thread, without the full SC fence. The race
+	// checker makes it an so1 source, like a paired write. A load labelled
+	// release is no release: it orders like an unpaired atomic, and the
+	// race checker treats it as neither an so1 endpoint nor paired or
+	// unpaired.
 	Release
 
 	numClasses = int(Release) + 1

@@ -152,6 +152,36 @@ func (m Model) Behavior(c Class) Behavior {
 	}
 }
 
+// Access is what the ordering rule reads of one memory access: its
+// class, and whether it reads and whether it writes its location (an RMW
+// does both).
+type Access struct {
+	Class         Class
+	Reads, Writes bool
+}
+
+// Acquires reports whether a is an acquire under m: a read whose
+// behaviour self-invalidates the L1 (paired, or the §7 acquire class).
+func (m Model) Acquires(a Access) bool { return a.Reads && m.Behavior(a.Class).InvalidateOnLoad }
+
+// Releases reports whether a is a release under m: a write whose
+// behaviour flushes the store buffer (paired, or the §7 release class).
+func (m Model) Releases(a Access) bool { return a.Writes && m.Behavior(a.Class).FlushOnStore }
+
+// Keeps is the ordering rule of a system compliant with m (§3.8 with the
+// §7 extension): whether an access a must stay before a later access b
+// of its thread, where a and b are on different locations and b does not
+// depend on a (per-location order and dependencies are kept anyway). An
+// acquire stays before everything later, everything earlier stays before
+// a release, and every atomic stays before a later atomic that is not
+// free to overlap (paired, unpaired, acquire or release). The system
+// model (memmodel) reorders everything else, so the simulated CU must
+// keep at least these pairs for Theorem 3.1 to speak for it.
+func (m Model) Keeps(a, b Access) bool {
+	return m.Acquires(a) || m.Releases(b) ||
+		a.Class.IsAtomic() && m.Behavior(b.Class).Overlap != OverlapFree
+}
+
 // Benefit is one row of Table 4.
 type Benefit struct {
 	Name string

@@ -139,6 +139,11 @@ func (o Op) Reads() bool { return !o.IsBranch && o.AOp.Reads() }
 // Writes reports whether the op may modify memory.
 func (o Op) Writes() bool { return !o.IsBranch && o.AOp.Writes() }
 
+// Access is the op's shape for the ordering rule (core.Model.Keeps).
+func (o Op) Access() core.Access {
+	return core.Access{Class: o.Class, Reads: o.Reads(), Writes: o.Writes()}
+}
+
 // UsesReg reports whether the op's inputs (operand, expected, address,
 // guards, branch condition) read register r.
 func (o Op) UsesReg(r Reg) bool {

@@ -90,16 +90,22 @@ func (o famOp) emit(th *litmus.Thread, loc litmus.Loc) litmus.Reg {
 	return litmus.NoReg
 }
 
+// access is the op's shape for the ordering rule.
+func (o famOp) access() core.Access {
+	return core.Access{Class: o.class, Reads: o.kind != famStore, Writes: o.kind != famLoad}
+}
+
 // violationShape reports whether m has the shape of every program the
 // system model took outside the SC set while the system let a relaxed
 // atomic overtake a later ordered one: A a non-ordering write to X, B a
-// write to Y labelled unpaired or acquire, C a paired, unpaired, acquire
-// or release read of Y, and D a guarded atomic write to X.
+// write to Y labelled unpaired or acquire, C a read of Y that the rule
+// keeps after an earlier atomic such as A (paired, unpaired, acquire or
+// release), and D a guarded atomic write to X.
 func (m famMember) violationShape() bool {
 	a, b, c, d := m.ops[0], m.ops[1], m.ops[2], m.ops[3]
 	return a.kind != famLoad && a.class == core.NonOrdering &&
 		b.kind != famLoad && (b.class == core.Unpaired || b.class == core.Acquire) &&
-		c.kind != famStore && isOrderedAtomic(c.class) &&
+		c.kind != famStore && core.DRFrlx.Keeps(a.access(), c.access()) &&
 		m.guarded && d.kind != famLoad && d.class.IsAtomic()
 }
 

@@ -19,7 +19,7 @@ type relations struct {
 	PO       rel.Rel // program order
 	Conflict rel.Rel // symmetric conflict (same loc, ≥1 write)
 	CO       rel.Rel // conflict order: conflict ∩ (T-earlier × T-later)
-	SO1      rel.Rel // synchronization order 1 (paired W → paired R)
+	SO1      rel.Rel // synchronization order 1 (release W → acquire R)
 	HB1      rel.Rel // happens-before-1 = (po ∪ so1)+
 	Race     rel.Rel // symmetric: conflict, cross-thread, hb1-unordered
 
@@ -72,8 +72,8 @@ type analyzer struct {
 	present    rel.Bits
 	after      rel.Bits
 	wBits      rel.Bits
-	pwBits     rel.Bits // so1 sources (paired/release writes)
-	prBits     rel.Bits // so1 targets (paired/acquire reads)
+	pwBits     rel.Bits // so1 sources (releases)
+	prBits     rel.Bits // so1 targets (acquires)
 	atomicBits rel.Bits
 	puBits     rel.Bits
 	scr        rel.Bits
@@ -91,8 +91,8 @@ type analyzer struct {
 	evWrites     []bool
 	evReads      []bool
 	evClass      []core.Class
-	pwStatic     rel.Bits // paired/release writes
-	prStatic     rel.Bits // paired/acquire reads
+	pwStatic     rel.Bits // releases (so1 sources)
+	prStatic     rel.Bits // acquires (so1 targets)
 	puStatic     rel.Bits // paired or unpaired accesses
 	atomicStatic rel.Bits
 	// Observability precompute: obsAlways[id] marks events whose loaded
@@ -233,10 +233,12 @@ func (a *analyzer) ensure(p *litmus.Program) {
 			if cls == core.Paired || cls == core.Unpaired {
 				a.puStatic.Set(id)
 			}
-			if (cls == core.Paired || cls == core.Release) && op.Writes() {
+			// so1's endpoints. The labels are the checked model's
+			// (Program.Under), on which DRFrlx's predicates are its own.
+			if core.DRFrlx.Releases(op.Access()) {
 				a.pwStatic.Set(id)
 			}
-			if (cls == core.Paired || cls == core.Acquire) && op.Reads() {
+			if core.DRFrlx.Acquires(op.Access()) {
 				a.prStatic.Set(id)
 			}
 			// Observability scan (the paper's Herd approximation): the
@@ -380,10 +382,10 @@ func (a *analyzer) buildRelations(ex *Execution) *relations {
 	r.CO.CopyFrom(r.Conflict)
 	r.CO.InterIn(a.tBefore)
 
-	// so1: paired write → paired read, conflicting, T-ordered. The
-	// Section 7 extension classes participate: a release write
-	// synchronizes with a paired/acquire read (sound on the simulated
-	// multi-copy-atomic machine).
+	// so1: release write → acquire read, conflicting, T-ordered. A
+	// paired access is either, and the Section 7 extension classes
+	// participate: a release write synchronizes with a paired or acquire
+	// read (sound on the simulated multi-copy-atomic machine).
 	a.pwBits.CopyFrom(a.pwStatic)
 	a.pwBits.AndIn(a.present)
 	a.prBits.CopyFrom(a.prStatic)

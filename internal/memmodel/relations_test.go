@@ -113,13 +113,6 @@ func TestHB1IsTransitiveAndAcyclic(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestObservedSetGuardsAlwaysCount(t *testing.T) {
 	// A load whose value only feeds a guard is still observed (control
 	// dependency), even when the guarded op is skipped.

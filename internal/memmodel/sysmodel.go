@@ -17,13 +17,11 @@ import (
 //
 //   - per-location program order (per-location SC / cache coherence),
 //   - syntactic address/data/control dependencies,
-//   - paired-read → anything-later (acquire),
-//   - anything-earlier → paired-write (release),
-//   - any atomic → later paired/unpaired atomic (successive unpaired
-//     accesses occur in program order, and a relaxed atomic does not
-//     overtake a later unpaired one: the simulated machine holds an
-//     atomic-serial atomic while any earlier atomic of its warp is
-//     outstanding),
+//   - the pairs of the ordering rule core.Model.Keeps: acquire read →
+//     anything later, anything earlier → release write, and any atomic →
+//     later paired, unpaired, acquire or release atomic (successive
+//     unpaired accesses occur in program order, and a relaxed atomic
+//     does not overtake a later unpaired one),
 //
 // and reorders everything else freely. Executions are total orders
 // consistent with this preserved program order, with loads reading the
@@ -32,8 +30,9 @@ import (
 // the quantum-equivalent program, the engine's SC instance, validates
 // Theorem 3.1 on litmus tests.
 
-// preservedPO computes the preserved-program-order relation over a
-// program's events under the given model's effective labelling.
+// preservedPO computes a DRFrlx system's preserved-program-order relation
+// over a program's events. On a program relabelled for model m
+// (Program.Under), DRFrlx's rule is m's.
 func preservedPO(p *litmus.Program) rel.Rel {
 	lay := layout(p)
 	ppo := rel.New(lay.n)
@@ -75,27 +74,13 @@ func preservedPO(p *litmus.Program) rel.Rel {
 					ppo.Set(lay.id[t][c.def], idI)
 				}
 			}
-			// Ordering against earlier memory ops.
+			// Ordering against earlier memory ops: per-location SC, and
+			// the ordering rule between locations.
+			acc := op.Access()
 			for j := 0; j < i; j++ {
 				pj := th.Ops[j]
-				if pj.IsBranch {
-					continue
-				}
-				idJ := lay.id[t][j]
-				switch {
-				case pj.Loc == op.Loc:
-					// Per-location SC.
-					ppo.Set(idJ, idI)
-				case (pj.Class == core.Paired || pj.Class == core.Acquire) && pj.Reads():
-					// Acquire: the read is ordered before all later ops.
-					ppo.Set(idJ, idI)
-				case (op.Class == core.Paired || op.Class == core.Release) && op.Writes():
-					// Release: all earlier ops ordered before the write.
-					ppo.Set(idJ, idI)
-				case pj.Class.IsAtomic() && isOrderedAtomic(op.Class):
-					// Every atomic stays before a later paired/unpaired
-					// (or acquire/release) atomic.
-					ppo.Set(idJ, idI)
+				if !pj.IsBranch && (pj.Loc == op.Loc || core.DRFrlx.Keeps(pj.Access(), acc)) {
+					ppo.Set(lay.id[t][j], idI)
 				}
 			}
 			if op.Dst != litmus.NoReg {
@@ -104,12 +89,6 @@ func preservedPO(p *litmus.Program) rel.Rel {
 		}
 	}
 	return ppo
-}
-
-// isOrderedAtomic reports whether a class waits for every earlier atomic
-// of its thread (overlap at most atomic-serial).
-func isOrderedAtomic(c core.Class) bool {
-	return c == core.Paired || c == core.Unpaired || c == core.Acquire || c == core.Release
 }
 
 // systemSearch enumerates every final memory state a straightforward

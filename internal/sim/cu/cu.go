@@ -3,7 +3,11 @@
 // consistency model acts: the per-class Behavior from internal/core
 // decides whether an atomic self-invalidates the L1 (acquire), flushes
 // the store buffer (release), and how much it may overlap with other
-// outstanding accesses (Table 4 of the paper).
+// outstanding accesses (Table 4 of the paper). The issue gate and the
+// fences keep at least the pairs of core.Model.Keeps, the ordering rule
+// of the system model that Theorem 3.1 is checked on; an SC access is
+// stricter: it waits for every earlier load and atomic and holds every
+// later access.
 package cu
 
 import (
@@ -28,7 +32,8 @@ type warpState struct {
 	// once, as on a real SIMT pipeline).
 	outLoads   int
 	outAtomics int
-	// fence blocks all issue until an SC (OverlapNone) access completes.
+	// fence blocks all issue until an SC (OverlapNone) access or an
+	// acquire read completes.
 	fence bool
 	// waitingFlush blocks the current op until the store buffer drains.
 	waitingFlush bool
@@ -253,11 +258,15 @@ func (c *CU) issueGate(w *warpState, op *trace.Op) probe.StallReason {
 		}
 		return probe.StallNone
 	}
-	b := c.env.Cfg.Behavior(op.Class)
-	if b.Overlap == core.OverlapNone && (w.outLoads > 0 || w.outAtomics > 0) {
+	// An SC access or a release waits for every earlier load and atomic
+	// (the release's flush in issueOp covers earlier stores); any other
+	// access not free to overlap waits for every earlier atomic.
+	m := c.env.Cfg.Model
+	b := m.Behavior(op.Class)
+	if (w.outLoads > 0 || w.outAtomics > 0) && (b.Overlap == core.OverlapNone || m.Releases(op.Access())) {
 		return probe.StallConsistency
 	}
-	if b.Overlap == core.OverlapAtomicSerial && op.Kind == trace.Atomic && w.outAtomics > 0 {
+	if b.Overlap != core.OverlapFree && w.outAtomics > 0 {
 		return probe.StallConsistency
 	}
 	// Bound per-warp MLP (instructions in flight).
@@ -273,19 +282,15 @@ func (c *CU) issueGate(w *warpState, op *trace.Op) probe.StallReason {
 // issueOp performs the consistency actions and enqueues the op's
 // transactions. Returns false if the coalescer lacks space (retry).
 func (c *CU) issueOp(cycle int64, w *warpState, op *trace.Op) bool {
-	b := c.env.Cfg.Behavior(op.Class)
-	if op.Scope == trace.ScopeLocal {
-		// HRF work-group scope: ordering is only required within this CU,
-		// which sees its own accesses in order — no invalidation or
-		// flush; overlap still follows the class.
-		b.InvalidateOnLoad = false
-		b.FlushOnStore = false
-	}
-	writes := op.AOp.Writes() || op.Kind == trace.Store
-	reads := op.AOp.Reads() && op.Kind != trace.Store
+	m, acc := c.env.Cfg.Model, op.Access()
+	acquire := m.Acquires(acc)
+	// HRF work-group scope: ordering is only required within this CU,
+	// which sees its own accesses in order — no invalidation or flush;
+	// the issue gate and the fences still follow the class.
+	global := op.Scope != trace.ScopeLocal
 
 	// Release: the store buffer must drain before the access performs.
-	if b.FlushOnStore && writes && op.Kind.IsMem() {
+	if global && m.Releases(acc) {
 		if !w.waitingFlush {
 			w.waitingFlush = true
 			w.flushDone = false
@@ -318,7 +323,7 @@ func (c *CU) issueOp(cycle int64, w *warpState, op *trace.Op) bool {
 	}
 
 	// Acquire: self-invalidate before subsequent reads can hit stale data.
-	if b.InvalidateOnLoad && reads && op.Kind == trace.Atomic {
+	if global && acquire {
 		c.l1.AcquireInvalidate()
 	}
 
@@ -372,8 +377,8 @@ func (c *CU) issueOp(cycle int64, w *warpState, op *trace.Op) bool {
 		}
 	}
 
-	if op.Kind.IsMem() && b.Overlap == core.OverlapNone {
-		// SC access: block the warp until it completes.
+	if acquire || m.Behavior(op.Class).Overlap == core.OverlapNone {
+		// SC access or acquire read: block the warp until it completes.
 		w.fence = true
 		c.clearFence(w) // store-only SC ops hold no transactions
 	}
@@ -696,7 +701,7 @@ func (c *CU) stallReasonOf(w *warpState, cycle int64) probe.StallReason {
 	case w.busyUntil > cycle:
 		return probe.StallNone // compute-occupied, not a stall
 	case w.fence:
-		return probe.StallConsistency // SC access draining
+		return probe.StallConsistency // SC access or acquire draining
 	case w.waitingFlush && !w.flushDone:
 		return probe.StallConsistency // release flush in progress
 	}

@@ -16,8 +16,10 @@ type harness struct {
 	cycle int64
 }
 
-func newHarness(model core.Model) *harness {
-	h := &harness{Memory: memsys.NewMemory(memsys.Default(memsys.ProtoGPU, model))}
+func newHarness(model core.Model) *harness { return newHarnessOn(memsys.ProtoGPU, model) }
+
+func newHarnessOn(proto memsys.Protocol, model core.Model) *harness {
+	h := &harness{Memory: memsys.NewMemory(memsys.Default(proto, model))}
 	h.cu = New(&h.Env, 0, h.L1s[0])
 	return h
 }

@@ -181,7 +181,3 @@ func (c *Config) WordAddr(addr uint64) uint64 { return addr / c.WordSize * c.Wor
 // HomeNode returns the node whose L2 bank owns the line (address
 // interleaved across all banks).
 func (c *Config) HomeNode(line uint64) int { return int(line % uint64(c.Nodes())) }
-
-// Behavior resolves the consistency actions for an access class under the
-// configured model.
-func (c *Config) Behavior(class core.Class) core.Behavior { return c.Model.Behavior(class) }

@@ -108,6 +108,13 @@ type Op struct {
 	Addrs []uint64
 }
 
+// Access is a memory op's shape for the ordering rule (core.Model.Keeps):
+// a load reads, a store writes, and an atomic does what its AOp does.
+func (op *Op) Access() core.Access {
+	st := op.Kind == Store
+	return core.Access{Class: op.Class, Reads: op.AOp.Reads() && !st, Writes: op.AOp.Writes() || st}
+}
+
 // Warp is one warp's (or CPU thread's) operation stream, statically
 // placed on a compute unit.
 type Warp struct {
