@@ -202,7 +202,7 @@ func renderCase(r harness.LitmusCaseResult, theoremOnly bool) (string, int) {
 	ok := !rep.Legal || rep.SystemSC
 	status := "theorem holds"
 	if !ok {
-		status = "THEOREM VIOLATED"
+		status = "THEOREM VIOLATED, outside SC: " + strings.Join(rep.NonSCResults, " ")
 		fail++
 	}
 	fmt.Fprintf(&b, "  %-8s system results=%d SC results=%d: %s\n", "sys", rep.SystemCount, rep.SCCount, status)
@@ -320,7 +320,7 @@ func checkFile(path string, witness, infer bool, serveURL string, diffMode bool,
 		if rep.SystemSC {
 			fmt.Println("system model: all relaxed executions SC (Theorem 3.1 holds)")
 		} else {
-			fmt.Println("system model: THEOREM VIOLATED — relaxed executions escape SC")
+			fmt.Println("system model: THEOREM VIOLATED — relaxed executions escape SC:", strings.Join(rep.NonSCResults, " "))
 		}
 	} else {
 		fmt.Printf("system model: %d reachable results (illegal program; %d outside SC)\n",

@@ -103,31 +103,39 @@ func formatThread(b *strings.Builder, t *Thread) {
 		}
 		switch {
 		case o.IsBranch:
-			fmt.Fprintf(b, "%sbranch %s\n", pad, formatExpr(o.Cond))
+			fmt.Fprintf(b, "%sbranch %s", pad, formatExpr(o.Cond))
 		case o.AOp == core.OpLoad:
 			if o.Dst != NoReg {
-				fmt.Fprintf(b, "%sr%d = load %s %s\n", pad, o.Dst, o.Loc, o.Class)
+				fmt.Fprintf(b, "%sr%d = load %s %s", pad, o.Dst, o.Loc, o.Class)
 			} else {
-				fmt.Fprintf(b, "%sload %s %s\n", pad, o.Loc, o.Class)
+				fmt.Fprintf(b, "%sload %s %s", pad, o.Loc, o.Class)
 			}
 		case o.AOp == core.OpStore:
-			fmt.Fprintf(b, "%sstore %s %s %s\n", pad, o.Loc, formatExpr(o.Operand), o.Class)
+			fmt.Fprintf(b, "%sstore %s %s %s", pad, o.Loc, formatExpr(o.Operand), o.Class)
 		case o.AOp == core.OpCAS:
 			if o.Dst != NoReg {
-				fmt.Fprintf(b, "%sr%d = cas %s %s %s %s\n", pad, o.Dst, o.Loc,
+				fmt.Fprintf(b, "%sr%d = cas %s %s %s %s", pad, o.Dst, o.Loc,
 					formatExpr(o.Expected), formatExpr(o.Operand), o.Class)
 			} else {
-				fmt.Fprintf(b, "%scas %s %s %s %s\n", pad, o.Loc,
+				fmt.Fprintf(b, "%scas %s %s %s %s", pad, o.Loc,
 					formatExpr(o.Expected), formatExpr(o.Operand), o.Class)
 			}
 		default:
 			name := opNames[o.AOp]
 			if o.Dst != NoReg {
-				fmt.Fprintf(b, "%sr%d = %s %s %s %s\n", pad, o.Dst, name, o.Loc, formatExpr(o.Operand), o.Class)
+				fmt.Fprintf(b, "%sr%d = %s %s %s %s", pad, o.Dst, name, o.Loc, formatExpr(o.Operand), o.Class)
 			} else {
-				fmt.Fprintf(b, "%s%s %s %s %s\n", pad, name, o.Loc, formatExpr(o.Operand), o.Class)
+				fmt.Fprintf(b, "%s%s %s %s %s", pad, name, o.Loc, formatExpr(o.Operand), o.Class)
 			}
 		}
+		// An address dependency ends the line: " addr rA rB".
+		for k, r := range o.AddrDeps {
+			if k == 0 {
+				b.WriteString(" addr")
+			}
+			fmt.Fprintf(b, " r%d", r)
+		}
+		b.WriteByte('\n')
 	}
 	if open != "" {
 		fmt.Fprintf(b, "%s}\n", indent)

@@ -40,6 +40,10 @@ import (
 //	use rX                         observe a register (control dependency)
 //	branch EXPR                    explicit branch marker
 //
+// A load, store, RMW or CAS may end in `addr rX [rY]...`, which makes
+// its address depend on those registers (an address dependency), e.g.
+// `r1 = load Y release addr r0`.
+//
 // EXPR is an integer, a register, or a '+'-joined sum of them (e.g.
 // r1+r2+3). Lines starting with // or # are comments.
 
@@ -187,6 +191,34 @@ func (p *parser) defReg(name string) (Reg, error) {
 	return r, nil
 }
 
+// addrDeps splits a trailing `addr rX [rY]...` off an op's fields and
+// returns the registers it names. The suffix starts at an "addr" right
+// after the class, the op's last field, so a location or register named
+// addr is never taken for it.
+func (p *parser) addrDeps(fields []string) ([]string, []Reg, error) {
+	for k := 3; k < len(fields); k++ {
+		if fields[k] != "addr" {
+			continue
+		}
+		if _, err := core.ParseClass(fields[k-1]); err != nil {
+			continue
+		}
+		if k+1 == len(fields) {
+			return nil, nil, p.errf("addr wants registers")
+		}
+		deps := make([]Reg, 0, len(fields)-k-1)
+		for _, name := range fields[k+1:] {
+			r, ok := p.regs[name]
+			if !ok {
+				return nil, nil, p.errf("address dependency on undefined register %s", name)
+			}
+			deps = append(deps, r)
+		}
+		return fields[:k], deps, nil
+	}
+	return fields, nil, nil
+}
+
 var rmwOps = map[string]core.AtomicOp{
 	"add": core.OpAdd, "sub": core.OpSub, "inc": core.OpInc, "dec": core.OpDec,
 	"and": core.OpAnd, "or": core.OpOr, "xor": core.OpXor,
@@ -203,6 +235,10 @@ func (p *parser) op(fields []string) error {
 	if len(fields) == 0 {
 		return p.errf("empty statement")
 	}
+	fields, deps, err := p.addrDeps(fields)
+	if err != nil {
+		return err
+	}
 	switch fields[0] {
 	case "load":
 		if len(fields) != 3 {
@@ -212,7 +248,7 @@ func (p *parser) op(fields []string) error {
 		if err != nil {
 			return err
 		}
-		o := Op{Class: c, AOp: core.OpLoad, Loc: Loc(fields[1]), Dst: NoReg}
+		o := Op{Class: c, AOp: core.OpLoad, Loc: Loc(fields[1]), Dst: NoReg, AddrDeps: deps}
 		if dst != "" {
 			r, err := p.defReg(dst)
 			if err != nil {
@@ -237,7 +273,7 @@ func (p *parser) op(fields []string) error {
 		if err != nil {
 			return err
 		}
-		p.thread.attach(Op{Class: c, AOp: core.OpStore, Loc: Loc(fields[1]), Dst: NoReg, Operand: e})
+		p.thread.attach(Op{Class: c, AOp: core.OpStore, Loc: Loc(fields[1]), Dst: NoReg, Operand: e, AddrDeps: deps})
 		return nil
 	case "cas":
 		if len(fields) != 5 {
@@ -255,7 +291,7 @@ func (p *parser) op(fields []string) error {
 		if err != nil {
 			return err
 		}
-		o := Op{Class: c, AOp: core.OpCAS, Loc: Loc(fields[1]), Dst: NoReg, Operand: des, Expected: exp}
+		o := Op{Class: c, AOp: core.OpCAS, Loc: Loc(fields[1]), Dst: NoReg, Operand: des, Expected: exp, AddrDeps: deps}
 		if dst != "" {
 			r, err := p.defReg(dst)
 			if err != nil {
@@ -305,7 +341,7 @@ func (p *parser) op(fields []string) error {
 		if err != nil {
 			return err
 		}
-		o := Op{Class: c, AOp: aop, Loc: Loc(fields[1]), Dst: NoReg, Operand: e}
+		o := Op{Class: c, AOp: aop, Loc: Loc(fields[1]), Dst: NoReg, Operand: e, AddrDeps: deps}
 		if dst != "" {
 			r, err := p.defReg(dst)
 			if err != nil {

@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -132,6 +133,8 @@ func TestParseErrors(t *testing.T) {
 		{"quantum-domain q", "bad domain"},
 		{"thread t\n  r0 = load X data\n  r0 = load X data", "redefined"},
 		{"thread t\n  use r4", "undefined register"},
+		{"thread t\n  r0 = load X data addr r0", "undefined register"},
+		{"thread t\n  r0 = load X data\n  store Y 1 data addr", "addr wants registers"},
 		{"thread t\n  if r0 < 0 {\n  }", "bad condition"},
 	} {
 		_, err := Parse(tc.src)
@@ -170,7 +173,8 @@ func opsEqual(a, b *Program) bool {
 			oa, ob := ta.Ops[j], tb.Ops[j]
 			if oa.IsBranch != ob.IsBranch || oa.Class != ob.Class || oa.AOp != ob.AOp ||
 				oa.Loc != ob.Loc || oa.Dst != ob.Dst || len(oa.Guards) != len(ob.Guards) ||
-				oa.Operand.Eval(make([]int64, 16)) != ob.Operand.Eval(make([]int64, 16)) {
+				oa.Operand.Eval(make([]int64, 16)) != ob.Operand.Eval(make([]int64, 16)) ||
+				!slices.Equal(oa.AddrDeps, ob.AddrDeps) {
 				return false
 			}
 		}
@@ -178,24 +182,37 @@ func opsEqual(a, b *Program) bool {
 	return true
 }
 
-// TestFormatParseRoundTrip: every suite program survives
-// Format -> Parse structurally.
+// TestFormatParseRoundTrip: every suite program, and one with address
+// dependencies, survives Format -> Parse structurally.
 func TestFormatParseRoundTrip(t *testing.T) {
+	dep := New("LoadDep")
+	th := dep.Thread("t0")
+	r := th.Load("X", core.Paired)
+	r = th.LoadDep("Y", r, core.Release)
+	th.WithGuards(NZ(r))
+	th.LoadDep("X", r, core.Data)
+	progs := []*Program{dep}
 	for _, tc := range Suite() {
-		text := Format(tc.Prog)
+		progs = append(progs, tc.Prog)
+	}
+	for _, p := range progs {
+		text := Format(p)
 		back, err := Parse(text)
 		if err != nil {
-			t.Fatalf("%s: reparse failed: %v\n%s", tc.Prog.Name, err, text)
+			t.Fatalf("%s: reparse failed: %v\n%s", p.Name, err, text)
 		}
-		if back.Name != tc.Prog.Name {
-			t.Errorf("%s: name lost", tc.Prog.Name)
+		if back.Name != p.Name {
+			t.Errorf("%s: name lost", p.Name)
 		}
-		if !opsEqual(tc.Prog, back) {
-			t.Errorf("%s: round trip changed structure:\n%s", tc.Prog.Name, text)
+		if !opsEqual(p, back) {
+			t.Errorf("%s: round trip changed structure:\n%s", p.Name, text)
 		}
-		if len(back.Init) != len(tc.Prog.Init) || len(back.QuantumDomain) != len(tc.Prog.QuantumDomain) {
-			t.Errorf("%s: metadata lost", tc.Prog.Name)
+		if len(back.Init) != len(p.Init) || len(back.QuantumDomain) != len(p.QuantumDomain) {
+			t.Errorf("%s: metadata lost", p.Name)
 		}
+	}
+	if want := "r1 = load Y release addr r0"; !strings.Contains(Format(dep), want) {
+		t.Errorf("Format lacks %q:\n%s", want, Format(dep))
 	}
 }
 

@@ -2,7 +2,6 @@ package memmodel
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -208,41 +207,17 @@ func TestCanonicalNormalizesSpelling(t *testing.T) {
 	}
 }
 
-// TestRewriteVerdictMatchesDirectCheck checks the cache-hit path end to
-// end: checking the canonical program and rewriting its verdict into a
-// scrambled submission's namespace must equal (up to Execs, which is
-// search-order dependent under POR) checking the scrambled program
-// directly.
+// TestRewriteVerdictMatchesDirectCheck runs the canonical round-trip
+// row on scrambled catalog programs: checking the canonical program and
+// rewriting its verdict into the submission's names equals checking the
+// submission directly.
 func TestRewriteVerdictMatchesDirectCheck(t *testing.T) {
-	cases := []string{"MP_unpaired", "SB_nonordering", "Seqlocks", "IRIW"}
-	for _, name := range cases {
-		c := litmus.ByName(name)
-		if c == nil {
-			t.Fatalf("catalog case %s missing", name)
-		}
-		for _, m := range core.Models() {
-			scr := permuteRename(c.Prog, reversePerm(len(c.Prog.Threads)), scrambleLocs(c.Prog))
-			canon, err := Canonicalize(scr)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, m, err)
-			}
-			canonV, err := CheckProgram(canon.Prog, m)
-			if err != nil {
-				t.Fatalf("%s/%s: check canonical: %v", name, m, err)
-			}
-			direct, err := CheckProgram(scr, m)
-			if err != nil {
-				t.Fatalf("%s/%s: check direct: %v", name, m, err)
-			}
-			got := canon.RewriteVerdict(canonV, scr.Name)
-			got.Execs = direct.Execs // search-order dependent; excluded
-			// Verdict.Prog carries the @model suffix from Under.
-			got.Prog = direct.Prog
-			if !reflect.DeepEqual(got, direct) {
-				t.Errorf("%s/%s: rewritten verdict differs from direct check\n  rewritten: %+v\n  direct:    %+v", name, m, got, direct)
-			}
-		}
+	var progs []*litmus.Program
+	for _, name := range []string{"MP_unpaired", "SB_nonordering", "Seqlocks", "IRIW"} {
+		p := litmus.ByName(name).Prog
+		progs = append(progs, permuteRename(p, reversePerm(len(p.Threads)), scrambleLocs(p)))
 	}
+	checkRow(t, progs, canonicalRoundTrip)
 }
 
 // sprintfOpSig is opSig's former fmt rendering, the reference for the
@@ -271,7 +246,7 @@ func sprintfOpSig(o litmus.Op, locLabel map[litmus.Loc]string) string {
 }
 
 // TestOpSigMatchesSprintf: the append-based opSig renders every op of
-// the catalog and of the random generators byte for byte as its fmt
+// the catalog and of the random generator byte for byte as its fmt
 // form did, so canonical thread and location order (and every cache key)
 // is unchanged. Extra ops cover unsorted registers, guards and address
 // dependencies, negative constants and the no-register destination.
@@ -287,7 +262,6 @@ func TestOpSigMatchesSprintf(t *testing.T) {
 	}
 	for seed := int64(0); seed < 300; seed++ {
 		add(randomProgram(seed))
-		add(randomQuantumProgram(seed))
 	}
 	e := litmus.Expr{Const: -7, Regs: []litmus.Reg{3, 1, 2}}
 	ops = append(ops,

@@ -266,10 +266,7 @@ func resultKeyProgram() *litmus.Program {
 // collected into a slice. It also pins the rendering itself on
 // resultKeyProgram: names ascending, signed decimal values.
 func TestResultKeyMatchesFinal(t *testing.T) {
-	progs := []*litmus.Program{resultKeyProgram()}
-	for _, tc := range litmus.Suite() {
-		progs = append(progs, tc.Prog)
-	}
+	progs := append(catalogPrograms(), resultKeyProgram())
 	check := func(ex *Execution) error {
 		if got, want := ex.ResultKey(), resultKey(ex.Final); got != want {
 			return fmt.Errorf("result key %q, want %q", got, want)

@@ -2,23 +2,19 @@ package memmodel
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
-	"strconv"
 	"testing"
 
 	"rats/internal/core"
 	"rats/internal/litmus"
-	"rats/internal/memmodel/telemetry"
 )
 
 // orderStats streams the SC executions of p under m exactly as the
 // checker enumerates them and counts executions and distinct total
 // orders.
-func orderStats(t *testing.T, p *litmus.Program, m core.Model) (execs, orders int64) {
-	t.Helper()
+func orderStats(p *litmus.Program, m core.Model) (execs, orders int64, err error) {
 	seen := map[string]bool{}
-	_, err := Enumerate(p.Under(m), EnumOptions{
+	_, err = Enumerate(p.Under(m), EnumOptions{
 		Quantum: true,
 		Visit: func(ex *Execution) error {
 			execs++
@@ -26,10 +22,7 @@ func orderStats(t *testing.T, p *litmus.Program, m core.Model) (execs, orders in
 			return nil
 		},
 	})
-	if err != nil {
-		t.Fatalf("%s/%s: %v", p.Name, m, err)
-	}
-	return execs, int64(len(seen))
+	return execs, int64(len(seen)), err
 }
 
 // TestOrderDeterminesRaces is the order memo's premise: Analyze reads an
@@ -67,143 +60,6 @@ func TestOrderDeterminesRaces(t *testing.T) {
 		if newOrderMemo(tc.Prog.Under(core.DRFrlx)) == nil && repeats != 0 {
 			t.Errorf("%s: no quantum ops, yet %d executions repeat an order", tc.Prog.Name, repeats)
 		}
-	}
-}
-
-// randomQuantumProgram generates small random programs for the
-// differential oracles: every class including Quantum, a quantum domain
-// of three values, three locations, loads, stores, increments (half of
-// them discarding the old value, which the checker walks weighted when
-// quantum) and CAS, data and address dependencies, branches, and ops
-// guarded on an earlier load's value, so quantum value choices both
-// repeat orders and change which events are present. A thread after the
-// first copies an earlier one with chance one in three, at most once per
-// program, so thread-symmetry classes form without three identical
-// threads piling up on one location.
-func randomQuantumProgram(seed int64) *litmus.Program {
-	rng := rand.New(rand.NewSource(seed))
-	classes := core.Classes()
-	locs := []litmus.Loc{"X", "Y", "Z"}
-	p := litmus.New("quantum" + strconv.FormatInt(seed, 10))
-	p.QuantumDomain = []int64{0, 1, 2}
-	nThreads := 2 + rng.Intn(2)
-	copied := false
-	for t := 0; t < nThreads; t++ {
-		th := p.Thread("t" + strconv.Itoa(t))
-		if t > 0 && !copied && rng.Intn(3) == 0 {
-			src := p.Threads[rng.Intn(t)]
-			th.Ops = append([]litmus.Op(nil), src.Ops...)
-			th.SetNumRegs(src.NumRegs())
-			copied = true
-			continue
-		}
-		last := litmus.NoReg
-		nOps := 2 + rng.Intn(2)
-		for i := 0; i < nOps; i++ {
-			c := classes[rng.Intn(len(classes))]
-			loc := locs[rng.Intn(len(locs))]
-			guarded := last != litmus.NoReg && rng.Intn(2) == 0
-			if guarded {
-				th.WithGuards(litmus.EQConst(last, int64(rng.Intn(3))))
-			}
-			// Kinds 4 and 5 depend on the last loaded register; without
-			// one they fall back to a store and a load.
-			switch k := rng.Intn(6); {
-			case k == 0 || k == 5 && last == litmus.NoReg:
-				last = th.Load(loc, c)
-			case k == 1 || k == 4 && last == litmus.NoReg:
-				th.Store(loc, int64(rng.Intn(3)), c)
-			case k == 2 && rng.Intn(2) == 0:
-				th.Inc(loc, c)
-			case k == 2:
-				last = th.RMW(core.OpInc, loc, 0, c)
-			case k == 3:
-				last = th.CAS(loc, int64(rng.Intn(2)), int64(1+rng.Intn(2)), c)
-			case k == 4: // data dependency
-				th.StoreExpr(loc, litmus.RegExpr(last), c)
-			default: // address dependency
-				last = th.LoadDep(loc, last, c)
-			}
-			if guarded {
-				th.EndGuards()
-			}
-			if last != litmus.NoReg && rng.Intn(4) == 0 {
-				th.Use(last) // a branch: later ops are control-dependent
-			}
-		}
-	}
-	return p
-}
-
-// TestStreamingMatchesMaterializeRandom extends the streaming pipeline's
-// determinism contract past the catalog: on seeded random programs, the
-// memo-free two-phase reference and the checker agree under every model,
-// and the checks build and analyze exactly one execution per distinct
-// order. A weighted walk (a quantum read into no register) must reach
-// the same verdict, executions and analyzed count as the reference; its
-// telemetry record may differ only by fewer transitions and no more
-// sleep-set skips.
-func TestStreamingMatchesMaterializeRandom(t *testing.T) {
-	seeds := 300
-	if testing.Short() {
-		seeds = 50
-	}
-	memoized, weighted := 0, 0
-	for seed := int64(0); seed < int64(seeds); seed++ {
-		p := randomQuantumProgram(seed)
-		for _, m := range []core.Model{core.DRF0, core.DRF1, core.DRFrlx} {
-			ref := telemetry.NewCheck(p.Name, m.String())
-			want, err := checkTwoPhase(p, m, ref)
-			if err != nil {
-				t.Fatalf("seed %d/%s two-phase: %v", seed, m, err)
-			}
-			execs, orders := orderStats(t, p, m)
-			if execs > orders {
-				memoized++
-			}
-			c := telemetry.NewCheck(p.Name, m.String())
-			got, err := CheckProgramWith(p, m, CheckOptions{Telemetry: c})
-			if err != nil {
-				t.Fatalf("seed %d/%s: %v", seed, m, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("seed %d/%s: verdict diverges\n got: %+v\nwant: %+v", seed, m, got, want)
-			}
-			s := c.Snapshot()
-			if s.Executions != execs || s.Analyzed != orders {
-				t.Errorf("seed %d/%s: %d executions, %d analyzed; want %d, %d",
-					seed, m, s.Executions, s.Analyzed, execs, orders)
-			}
-			// Memo hits are counted at the leaf, never materialized.
-			if s.Recycled+s.Allocated != s.Analyzed {
-				t.Errorf("seed %d/%s: %d recycled + %d allocated executions, want one per analysis (%d)",
-					seed, m, s.Recycled, s.Allocated, s.Analyzed)
-			}
-			// The weighted walk is a subtree of the reference's: it differs
-			// only in the transitions and sleep-set skips it never took.
-			rec, wantRec := c.Record(), ref.Record()
-			if rec.Transitions < wantRec.Transitions {
-				if m == core.DRFrlx {
-					weighted++
-				}
-				if rec.SleepSkips > wantRec.SleepSkips {
-					t.Errorf("seed %d/%s: weighted walk has %d sleep-set skips, more than the reference's %d",
-						seed, m, rec.SleepSkips, wantRec.SleepSkips)
-				}
-				rec.Transitions, rec.SleepSkips, rec.PrunedPct = wantRec.Transitions, wantRec.SleepSkips, wantRec.PrunedPct
-			}
-			if rec != wantRec {
-				t.Errorf("seed %d/%s: record = %+v, want %+v", seed, m, c.Record(), wantRec)
-			}
-		}
-	}
-	// Guard against a generator that stops exercising the memo or the
-	// weighted walk.
-	if memoized < seeds/4 {
-		t.Errorf("only %d of %d seed/model checks repeat an order", memoized, 3*seeds)
-	}
-	if weighted < seeds/30 {
-		t.Errorf("only %d of %d seeds walk a weighted path under DRFrlx", weighted, seeds)
 	}
 }
 

@@ -2,6 +2,7 @@ package memmodel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -15,15 +16,16 @@ import (
 // reads-from function, the event values, the final registers, and the
 // race verdicts. Two executions of the same Mazurkiewicz trace have the
 // same signature, so the reduced enumerator must produce exactly the
-// naive enumerator's signature set.
-func execSignature(ex *Execution) string {
+// naive enumerator's signature set. an computes the race verdicts and
+// is reused across executions.
+func execSignature(an *analyzer, ex *Execution) string {
 	var b strings.Builder
 	b.WriteString(ex.ResultKey())
 	fmt.Fprintf(&b, "|rf=%v|present=%v|regs=%v", ex.RF, ex.Present, ex.Regs)
 	for _, ev := range ex.Events {
 		fmt.Fprintf(&b, "|%d:%d,%d,%t", ev.ID, ev.Loaded, ev.Stored, ev.Randomized)
 	}
-	a := Analyze(ex)
+	a := an.Analyze(ex)
 	for _, k := range RaceKinds() {
 		prs := append([][2]int(nil), a.Races[k]...)
 		sort.Slice(prs, func(i, j int) bool {
@@ -34,100 +36,81 @@ func execSignature(ex *Execution) string {
 	return b.String()
 }
 
-func signatureSet(execs []*Execution) map[string]bool {
-	set := make(map[string]bool, len(execs))
-	for _, ex := range execs {
-		set[execSignature(ex)] = true
+// signatures fingerprints execs in order.
+func signatures(execs []*Execution) []string {
+	an := new(analyzer)
+	sigs := make([]string, len(execs))
+	for i, ex := range execs {
+		sigs[i] = execSignature(an, ex)
 	}
-	return set
+	return sigs
 }
 
-// resultSet is the set of execs' result keys.
-func resultSet(execs []*Execution) map[string]bool {
-	set := map[string]bool{}
-	for _, ex := range execs {
-		set[ex.ResultKey()] = true
+// porMatchesNaive is the soundness property of the reduced enumerator,
+// over both of its delivery forms: the slice enumeration and the
+// streaming walk the checker runs deliver the same executions in the
+// same order, exactly the naive enumerator's set of execution
+// signatures, and never more executions. limit bounds the naive
+// enumeration (0 = DefaultLimit).
+func porMatchesNaive(p *litmus.Program, quantum bool, limit int) error {
+	naive, err := Enumerate(p, EnumOptions{Quantum: quantum, Naive: true, Limit: limit})
+	if err != nil {
+		return err
 	}
-	return set
+	slice, err := Enumerate(p, EnumOptions{Quantum: quantum})
+	if err != nil {
+		return err
+	}
+	var walk []*Execution
+	if _, err := Enumerate(p, EnumOptions{Quantum: quantum, Visit: func(ex *Execution) error {
+		walk = append(walk, ex)
+		return nil
+	}}); err != nil {
+		return err
+	}
+	if len(walk) > len(naive) {
+		return fmt.Errorf("POR walked %d executions, naive %d", len(walk), len(naive))
+	}
+	if len(walk) != len(slice) {
+		return fmt.Errorf("walk produced %d executions, slice %d", len(walk), len(slice))
+	}
+	for i := range walk {
+		if !slices.Equal(walk[i].Order, slice[i].Order) {
+			return fmt.Errorf("execution %d: walk order %v, slice order %v", i, walk[i].Order, slice[i].Order)
+		}
+	}
+	sigs := signatures(walk)
+	if !slices.Equal(sigs, signatures(slice)) {
+		return fmt.Errorf("the slice's executions differ from the walk's")
+	}
+	got, want := map[string]bool{}, map[string]bool{}
+	for _, sig := range sigs {
+		got[sig] = true
+	}
+	for _, sig := range signatures(naive) {
+		if want[sig] = true; !got[sig] {
+			return fmt.Errorf("naive signature missing from POR's:\n%s", sig)
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Errorf("POR reaches %d signatures, naive %d", len(got), len(want))
+	}
+	return nil
 }
 
-// TestPORMatchesNaiveOnCatalog is the soundness property of the reduced
-// enumerator, over both of its delivery forms: the slice enumeration and
-// the streaming (Visit) walk the checker runs. On every program of the
-// litmus catalog (both the raw program and its DRFrlx quantum-equivalent
-// form), each produces exactly the naive enumerator's set of execution
-// signatures — same final states, reads-from choices, values, and race
-// verdicts — while never producing more executions.
+// TestPORMatchesNaiveOnCatalog runs porMatchesNaive on every catalog
+// program, raw and in its DRFrlx quantum-equivalent form, with the
+// naive enumeration unbounded. TestOracles runs it on generated
+// programs.
 func TestPORMatchesNaiveOnCatalog(t *testing.T) {
 	for _, tc := range litmus.Suite() {
 		tc := tc
 		t.Run(tc.Prog.Name, func(t *testing.T) {
-			variants := []struct {
-				name string
-				prog *litmus.Program
-				opts EnumOptions
-			}{
-				{"raw", tc.Prog, EnumOptions{}},
-				{"quantum-drfrlx", tc.Prog.Under(core.DRFrlx), EnumOptions{Quantum: true}},
+			if err := porMatchesNaive(tc.Prog, false, 0); err != nil {
+				t.Errorf("raw: %v", err)
 			}
-			for _, v := range variants {
-				naive, err := Enumerate(v.prog, EnumOptions{Quantum: v.opts.Quantum, Naive: true})
-				if err != nil {
-					t.Fatalf("%s: naive enumeration failed: %v", v.name, err)
-				}
-				slice, err := Enumerate(v.prog, v.opts)
-				if err != nil {
-					t.Fatalf("%s: reduced enumeration failed: %v", v.name, err)
-				}
-				var walk []*Execution
-				wopts := v.opts
-				wopts.Visit = func(ex *Execution) error {
-					walk = append(walk, ex)
-					return nil
-				}
-				if _, err := Enumerate(v.prog, wopts); err != nil {
-					t.Fatalf("%s: reduced streaming walk failed: %v", v.name, err)
-				}
-				// The slice holds the walk's executions in the walk's order.
-				if len(walk) != len(slice) {
-					t.Fatalf("%s: walk produced %d executions, slice %d", v.name, len(walk), len(slice))
-				}
-				for i := range walk {
-					if fmt.Sprint(walk[i].Order) != fmt.Sprint(slice[i].Order) {
-						t.Fatalf("%s: execution %d: walk order %v, slice order %v", v.name, i, walk[i].Order, slice[i].Order)
-					}
-				}
-				ns, nr := signatureSet(naive), resultSet(naive)
-				for _, red := range []struct {
-					name  string
-					execs []*Execution
-				}{{"slice", slice}, {"walk", walk}} {
-					name := v.name + "/" + red.name
-					if len(red.execs) > len(naive) {
-						t.Fatalf("%s: POR produced %d executions, naive %d", name, len(red.execs), len(naive))
-					}
-					ps := signatureSet(red.execs)
-					for sig := range ns {
-						if !ps[sig] {
-							t.Errorf("%s: naive signature missing from POR set:\n%s", name, sig)
-						}
-					}
-					for sig := range ps {
-						if !ns[sig] {
-							t.Errorf("%s: POR produced a signature naive never does:\n%s", name, sig)
-						}
-					}
-					// Results must agree as sets, not just signatures.
-					pr := resultSet(red.execs)
-					if len(nr) != len(pr) {
-						t.Fatalf("%s: result sets differ: naive %d, POR %d", name, len(nr), len(pr))
-					}
-					for k := range nr {
-						if _, ok := pr[k]; !ok {
-							t.Errorf("%s: final state %q lost by POR", name, k)
-						}
-					}
-				}
+			if err := porMatchesNaive(tc.Prog.Under(core.DRFrlx), true, 0); err != nil {
+				t.Errorf("quantum-drfrlx: %v", err)
 			}
 		})
 	}
@@ -157,10 +140,12 @@ func TestEnumerateDeterministic(t *testing.T) {
 					p.Name, trial, len(got), len(base))
 			}
 			for i := range got {
-				if fmt.Sprint(got[i].Order) != fmt.Sprint(base[i].Order) ||
-					execSignature(got[i]) != execSignature(base[i]) {
+				if !slices.Equal(got[i].Order, base[i].Order) {
 					t.Fatalf("%s: execution %d differs between runs", p.Name, i)
 				}
+			}
+			if !slices.Equal(signatures(got), signatures(base)) {
+				t.Fatalf("%s: run %d's executions differ from the first run's", p.Name, trial)
 			}
 		}
 	}

@@ -10,29 +10,6 @@ import (
 	"rats/internal/memmodel"
 )
 
-// TestCheckProgramWithModeSolve exercises the dispatch path callers use:
-// CheckOptions.Mode "solve" must route through the constraint solver
-// and agree with default enumeration on the whole suite (Execs excluded:
-// the solver counts only confirmation-phase executions).
-func TestCheckProgramWithModeSolve(t *testing.T) {
-	for _, tc := range litmus.Suite() {
-		for _, m := range []core.Model{core.DRF0, core.DRF1, core.DRFrlx} {
-			want, err := memmodel.CheckProgram(tc.Prog, m)
-			if err != nil {
-				t.Fatalf("%s/%s enumerate: %v", tc.Prog.Name, m, err)
-			}
-			got, err := memmodel.CheckProgramWith(tc.Prog, m, memmodel.CheckOptions{Mode: memmodel.ModeSolve})
-			if err != nil {
-				t.Fatalf("%s/%s mode=solve: %v", tc.Prog.Name, m, err)
-			}
-			got.Execs, want.Execs = 0, 0
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s: mode=solve diverges\n got: %+v\nwant: %+v", tc.Prog.Name, m, got, want)
-			}
-		}
-	}
-}
-
 // TestUnknownModeRejected pins the validation error for a mode the
 // dispatcher does not know.
 func TestUnknownModeRejected(t *testing.T) {

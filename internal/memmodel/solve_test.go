@@ -10,41 +10,6 @@ import (
 	"rats/internal/memmodel/telemetry"
 )
 
-// models is the full model axis every differential test sweeps.
-var models = []core.Model{core.DRF0, core.DRF1, core.DRFrlx}
-
-// normalize strips the one field the solver and enumerator legitimately
-// disagree on: Execs counts enumerated executions, and the solver only
-// enumerates during its confirmation phase (zero when the static split
-// plus state search decide everything).
-func normalize(v *Verdict) *Verdict {
-	v.Execs = 0
-	return v
-}
-
-// TestSolveNaiveIntractableSeeds routes the theorem-fuzzer seeds whose
-// naive enumeration exceeds the execution limit through the solver and
-// checks exact agreement with the (reduced) enumeration pipeline — the
-// solve-mode counterpart of TestStreamingNaiveIntractableSeeds.
-func TestSolveNaiveIntractableSeeds(t *testing.T) {
-	for _, seed := range []int64{346, 960, 5861} {
-		p := randomProgram(seed)
-		for _, m := range models {
-			want, err := CheckProgram(p, m)
-			if err != nil {
-				t.Fatalf("seed %d/%s enumerate: %v", seed, m, err)
-			}
-			got, err := solveCheck(p, m, CheckOptions{})
-			if err != nil {
-				t.Fatalf("seed %d/%s solve: %v", seed, m, err)
-			}
-			if !reflect.DeepEqual(normalize(got), normalize(want)) {
-				t.Errorf("seed %d/%s: solver diverges\n got: %+v\nwant: %+v", seed, m, got, want)
-			}
-		}
-	}
-}
-
 // TestSolveContendedCompletesFast pins the solver's performance claim:
 // the 7-thread contended program — whose interleaving count makes full
 // enumeration intractable (it is the deadline-machinery worst case in
@@ -136,25 +101,20 @@ func TestSolveSymmetrySoundness(t *testing.T) {
 		if !reflect.DeepEqual(v1.SCResults, v2.SCResults) {
 			t.Errorf("%s: SC results not permutation-invariant:\n%v\n%v", m, v1.SCResults, v2.SCResults)
 		}
-		// Each verdict must also match the enumerator on its own program.
-		for i, pair := range []struct {
-			p *litmus.Program
-			v *Verdict
-		}{{p1, v1}, {p2, v2}} {
-			want, err := CheckProgram(pair.p, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(normalize(pair.v), normalize(want)) {
-				t.Errorf("%s variant %d: solver diverges from enumerator", m, i)
-			}
-		}
 	}
+	// Each verdict must also match the enumerator on its own program.
+	checkRow(t, []*litmus.Program{p1, p2}, solveMatchesEnumerate)
+}
+
+// TestCheckProgramWithModeSolve runs the solve row, the dispatch path
+// callers use, on the whole catalog.
+func TestCheckProgramWithModeSolve(t *testing.T) {
+	checkRow(t, catalogPrograms(), solveMatchesEnumerate)
 }
 
 // FuzzSolveMatchesEnumerate is the differential fuzz oracle the package
-// doc promises: on generated programs across every model, the solver and
-// the enumerator must produce identical verdicts.
+// doc promises: the solve row on randomProgram's programs under every
+// model.
 func FuzzSolveMatchesEnumerate(f *testing.F) {
 	for _, seed := range []int64{0, 1, 7, 42, 123, 346, 960, 5861} {
 		for mi := range models {
@@ -163,17 +123,12 @@ func FuzzSolveMatchesEnumerate(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64, modelIdx uint8) {
 		m := models[int(modelIdx)%len(models)]
-		p := randomProgram(seed)
-		want, err := CheckProgram(p, m)
+		c, err := newOracleCase(randomProgram(seed), m, nil)
 		if err != nil {
 			t.Skipf("enumerate: %v", err)
 		}
-		got, err := solveCheck(p, m, CheckOptions{})
-		if err != nil {
-			t.Fatalf("solve failed where enumerate succeeded: %v", err)
-		}
-		if !reflect.DeepEqual(normalize(got), normalize(want)) {
-			t.Errorf("seed %d/%s: solver diverges\n got: %+v\nwant: %+v", seed, m, got, want)
+		if err := solveMatchesEnumerate(c); err != nil {
+			t.Errorf("seed %d/%s: %v", seed, m, err)
 		}
 	})
 }

@@ -3,7 +3,6 @@ package memmodel
 import (
 	"context"
 	"errors"
-	"reflect"
 	"strconv"
 	"testing"
 
@@ -139,76 +138,20 @@ func longThreadProgram() *litmus.Program {
 	return p
 }
 
-// engineOraclePrograms are the state engine's differential-test inputs:
-// the catalog, randomQuantumProgram's first seeds, and longThreadProgram.
-func engineOraclePrograms(t *testing.T) []*litmus.Program {
-	var progs []*litmus.Program
-	for _, tc := range litmus.Suite() {
-		progs = append(progs, tc.Prog)
-	}
-	seeds := 1100
-	if testing.Short() {
-		seeds = 100
-	}
-	symmetric := 0
-	for seed := int64(0); seed < int64(seeds); seed++ {
-		p := randomQuantumProgram(seed)
-		if _, classes := symmetryClasses(p); len(classes) < len(p.Threads) {
-			symmetric++
-		}
-		progs = append(progs, p)
-	}
-	// Guard against a generator that stops forming symmetry classes.
-	if symmetric < seeds/10 {
-		t.Fatalf("only %d of %d random programs have identical threads", symmetric, seeds)
-	}
-	return append(progs, longThreadProgram())
+// engineOraclePrograms are the catalog and longThreadProgram, the
+// inputs the state engine's rows see besides TestOracles' sources.
+func engineOraclePrograms() []*litmus.Program {
+	return append(catalogPrograms(), longThreadProgram())
 }
 
-// TestSystemMatchesReference: the state engine's system instance, with
-// its symmetry-canonical memo keys and guard skipping, reaches exactly
-// the final memories and quantum values of the reduction-free reference
-// search, on every oracle program under every model's labelling.
+// TestSystemMatchesReference runs the system row on engineOraclePrograms.
 func TestSystemMatchesReference(t *testing.T) {
-	for _, p := range engineOraclePrograms(t) {
-		for _, m := range []core.Model{core.DRF0, core.DRF1, core.DRFrlx} {
-			q := p.Under(m)
-			e, err := systemSearch(q, 0, nil)
-			if err != nil {
-				t.Fatalf("%s: %v", q.Name, err)
-			}
-			want, wantVals := referenceSystemResults(q)
-			if !reflect.DeepEqual(e.results, want) {
-				t.Errorf("%s: system results %v, reference %v", q.Name, e.results, want)
-			}
-			if !reflect.DeepEqual(e.qvals, wantVals) {
-				t.Errorf("%s: quantum values %v, reference %v", q.Name, e.qvals, wantVals)
-			}
-		}
-	}
+	checkRow(t, engineOraclePrograms(), systemMatchesReference)
 }
 
-// TestSCStatesMatchesEnumeration: the state engine's SC instance finds
-// exactly enumeration's SC result set on every oracle program under
-// every model.
+// TestSCStatesMatchesEnumeration runs the SC row on engineOraclePrograms.
 func TestSCStatesMatchesEnumeration(t *testing.T) {
-	for _, p := range engineOraclePrograms(t) {
-		for _, m := range []core.Model{core.DRF0, core.DRF1, core.DRFrlx} {
-			v, err := CheckProgram(p, m)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", p.Name, m, err)
-			}
-			q := p.Under(m)
-			_, classes := symmetryClasses(q)
-			got, _, err := scStates(q, CheckOptions{}, classes)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", p.Name, m, err)
-			}
-			if !reflect.DeepEqual(got, v.SCResults) {
-				t.Errorf("%s/%s: state engine %v, enumeration %v", p.Name, m, got, v.SCResults)
-			}
-		}
-	}
+	checkRow(t, engineOraclePrograms(), scMatchesEnumeration)
 }
 
 // TestSCStatesBudgetAndCancel: the SC instance's transition budget and

@@ -1,7 +1,6 @@
 package memmodel
 
 import (
-	"reflect"
 	"testing"
 
 	"rats/internal/core"
@@ -9,30 +8,12 @@ import (
 )
 
 // TestStreamingMatchesMaterialize is the determinism contract of the
-// streaming pipeline: for every catalog program and model, the verdict
-// must be byte-identical to the memo-free two-phase reference, which
-// collects the executions into a slice and analyzes them afterwards —
-// every aggregated field is a set merged by union and finished by a
-// sort.
+// streaming pipeline: the memo row on every catalog program and model.
+// The memo-free two-phase reference collects the executions into a
+// slice and analyzes them afterwards; every aggregated field of the
+// verdict is a set merged by union and finished by a sort.
 func TestStreamingMatchesMaterialize(t *testing.T) {
-	for _, tc := range litmus.Suite() {
-		for _, m := range []core.Model{core.DRF0, core.DRF1, core.DRFrlx} {
-			want, err := checkTwoPhase(tc.Prog, m, nil)
-			if err != nil {
-				t.Fatalf("%s/%s two-phase: %v", tc.Prog.Name, m, err)
-			}
-			got, err := CheckProgram(tc.Prog, m)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", tc.Prog.Name, m, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s: verdict diverges\n got: %+v\nwant: %+v", tc.Prog.Name, m, got, want)
-			}
-			if got.Summary() != want.Summary() {
-				t.Errorf("%s/%s: summary diverges: %q vs %q", tc.Prog.Name, m, got.Summary(), want.Summary())
-			}
-		}
-	}
+	checkRow(t, catalogPrograms(), memoMatchesTwoPhase)
 }
 
 // TestStreamingRecyclesExecutions pins the bounded-memory half of the
@@ -98,27 +79,5 @@ func TestStreamingStopsOnErrStop(t *testing.T) {
 	}
 	if visits != 3 {
 		t.Errorf("visits after ErrStop: got %d, want 3", visits)
-	}
-}
-
-// TestStreamingNaiveIntractableSeeds checks whole-program verdicts on the
-// random programs whose naive enumeration exceeds the execution limit
-// (the trailing seeds of TestTheoremPropertyRandom): the streaming
-// pipeline must complete under partial-order reduction and agree with the
-// two-phase reference.
-func TestStreamingNaiveIntractableSeeds(t *testing.T) {
-	for _, seed := range []int64{346, 960, 5861} {
-		p := randomProgram(seed)
-		want, err := checkTwoPhase(p, core.DRFrlx, nil)
-		if err != nil {
-			t.Fatalf("seed %d two-phase: %v", seed, err)
-		}
-		got, err := CheckProgram(p, core.DRFrlx)
-		if err != nil {
-			t.Fatalf("seed %d streaming: %v", seed, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("seed %d: streaming verdict diverges\n got: %+v\nwant: %+v", seed, got, want)
-		}
 	}
 }

@@ -33,7 +33,10 @@ func TestCheckTelemetryCounts(t *testing.T) {
 		{prog: litmus.RefCounterTwo(), execs: 19683, orders: 12, transitions: 4407},
 	} {
 		prog := tc.prog
-		execs, orders := orderStats(t, prog, core.DRFrlx)
+		execs, orders, err := orderStats(prog, core.DRFrlx)
+		if err != nil {
+			t.Fatalf("%s: %v", prog.Name, err)
+		}
 		if tc.execs != 0 && (execs != tc.execs || orders != tc.orders) {
 			t.Errorf("%s: %d executions over %d orders, want %d over %d", prog.Name, execs, orders, tc.execs, tc.orders)
 		}
