@@ -29,7 +29,7 @@ import (
 // testdata/pinned.
 
 var familyPass = flag.Bool("family", false,
-	"TestOracles: check Theorem 3.1 on every member of the program family and every other row on a stride (minutes)")
+	"check Theorem 3.1 on every member of the program family (TestTheoremFamily, TestExhaustiveTheoremSmallPrograms) and every other row on a stride (TestOracles/family); minutes")
 
 // The family's members share one index space. Shape 1 comes first:
 // thread t0 runs op A on X, then op B on Y; thread t1 runs op C on Y,
@@ -253,10 +253,21 @@ func nudge(ops []litmus.Op, rng *rand.Rand) {
 	}
 }
 
-// pinnedPrograms reads the programs under testdata/pinned; each file's
-// comment says why it is kept.
-func pinnedPrograms(t *testing.T) []*litmus.Program {
-	paths, _ := filepath.Glob(filepath.Join("testdata", "pinned", "*.litmus"))
+// naiveIntractable are the pinned programs whose naive enumeration
+// exceeds the execution limit.
+var naiveIntractable = []string{"pinned346", "pinned960", "pinned5861"}
+
+// pinnedPrograms reads the named programs under testdata/pinned, or all
+// of them when no name is given; each file's comment says why it is
+// kept.
+func pinnedPrograms(t *testing.T, names ...string) []*litmus.Program {
+	paths := make([]string, len(names))
+	for i, name := range names {
+		paths[i] = filepath.Join("testdata", "pinned", name+".litmus")
+	}
+	if len(names) == 0 {
+		paths, _ = filepath.Glob(filepath.Join("testdata", "pinned", "*.litmus"))
+	}
 	if len(paths) == 0 {
 		t.Fatal("no pinned programs")
 	}
@@ -317,7 +328,6 @@ type oracleTally struct {
 	memoized           atomic.Int64 // checks whose walk repeats an order
 	weighted           atomic.Int64 // DRFrlx checks that walk a weighted path
 	legal, illegal     atomic.Int64 // DRFrlx verdicts
-	symmetric          atomic.Int64 // programs with identical threads
 	rowNanos           []atomic.Int64
 }
 
@@ -339,6 +349,28 @@ var oracleRows = []struct {
 	{"system", systemMatchesReference},
 	{"theorem", theoremHolds},
 	{"text", textRoundTrip},
+}
+
+// oracleScope selects what runOracles checks a program with: the rows
+// named in rows under models, nil selecting every row or every model.
+type oracleScope struct {
+	rows   []string
+	models []core.Model
+}
+
+// theoremScope is Theorem 3.1 alone under DRFrlx, the check the dense
+// selections of the family and of the random seeds get.
+var theoremScope = oracleScope{rows: []string{"theorem"}, models: []core.Model{core.DRFrlx}}
+
+// rowsExcept names every row of oracleRows but the given ones.
+func rowsExcept(names ...string) []string {
+	var rows []string
+	for _, row := range oracleRows {
+		if !slices.Contains(names, row.name) {
+			rows = append(rows, row.name)
+		}
+	}
+	return rows
 }
 
 // naiveBudget bounds the naive enumeration the POR row compares with;
@@ -551,12 +583,11 @@ func checkRow(t *testing.T, progs []*litmus.Program, row func(*oracleCase) error
 	}
 }
 
-// runOracles checks the n programs member yields on GOMAXPROCS workers:
-// each with every row under every model, or with Theorem 3.1 alone
-// under DRFrlx when member says theoremOnly; a nil program is skipped.
-// It reports every disagreement with the program's text and logs each
-// row's time.
-func runOracles(t *testing.T, n int, member func(i int) (p *litmus.Program, theoremOnly bool)) *oracleTally {
+// runOracles checks the n programs member yields on GOMAXPROCS workers,
+// each with the rows and under the models of its scope; a nil program
+// is skipped. It reports every disagreement with the program's text,
+// logs the time of each row that ran, and fails if none ran.
+func runOracles(t *testing.T, n int, member func(i int) (*litmus.Program, oracleScope)) *oracleTally {
 	tally := &oracleTally{rowNanos: make([]atomic.Int64, len(oracleRows))}
 	var next atomic.Int64
 	var mu sync.Mutex
@@ -567,11 +598,11 @@ func runOracles(t *testing.T, n int, member func(i int) (p *litmus.Program, theo
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-				p, theoremOnly := member(i)
+				p, scope := member(i)
 				if p == nil {
 					continue
 				}
-				if f := checkMember(p, theoremOnly, tally); len(f) > 0 {
+				if f := checkMember(p, scope, tally); len(f) > 0 {
 					mu.Lock()
 					failures = append(failures, f...)
 					mu.Unlock()
@@ -588,23 +619,28 @@ func runOracles(t *testing.T, n int, member func(i int) (p *litmus.Program, theo
 		}
 		t.Error(f)
 	}
+	ran := false
 	for k, row := range oracleRows {
-		t.Logf("%-7s row: %v", row.name, time.Duration(tally.rowNanos[k].Load()).Round(time.Millisecond))
+		if d := time.Duration(tally.rowNanos[k].Load()); d > 0 {
+			ran = true
+			t.Logf("%-7s row: %v", row.name, d.Round(time.Millisecond))
+		}
+	}
+	if !ran {
+		t.Error("no row ran: a scope names no row of oracleRows")
 	}
 	return tally
 }
 
-// checkMember runs runOracles' rows on p and returns its failures.
-func checkMember(p *litmus.Program, theoremOnly bool, tally *oracleTally) []string {
+// checkMember runs the rows of scope on p and returns its failures.
+func checkMember(p *litmus.Program, scope oracleScope, tally *oracleTally) []string {
 	var failures []string
 	fail := func(m core.Model, row string, err error) {
 		failures = append(failures, fmt.Sprintf("%s under %s, %s: %v\n%s", p.Name, m, row, err, litmus.Format(p)))
 	}
-	ms := models
-	if theoremOnly {
-		ms = []core.Model{core.DRFrlx}
-	} else if _, classes := symmetryClasses(p); len(classes) < len(p.Threads) {
-		tally.symmetric.Add(1)
+	ms := scope.models
+	if ms == nil {
+		ms = models
 	}
 	for _, m := range ms {
 		c, err := newOracleCase(p, m, tally)
@@ -620,7 +656,7 @@ func checkMember(p *litmus.Program, theoremOnly bool, tally *oracleTally) []stri
 			}
 		}
 		for k, row := range oracleRows {
-			if theoremOnly && row.name != "theorem" {
+			if scope.rows != nil && !slices.Contains(scope.rows, row.name) {
 				continue
 			}
 			start := time.Now()
@@ -647,58 +683,167 @@ func sourceGuards(t *testing.T, tally *oracleTally) {
 	}
 }
 
+// randomSeeds is the number of random seeds TestOracles and
+// TestStreamingMatchesMaterializeRandom check.
+func randomSeeds() int {
+	if testing.Short() {
+		return 40
+	}
+	return 300
+}
+
 // TestOracles runs every row on the family, the random generator and
-// the pinned programs, under all three models. Tier-1 checks every
-// 2,503rd family member on every row and Theorem 3.1 on every 167th
-// plus every member of violationShape, and 300 random seeds; -short
-// checks every 25,013th member and 40 seeds; -family checks Theorem 3.1
-// on every member and the other rows on every 499th.
+// the pinned programs, under all three models, except where a test
+// below runs a row on a selection of its own: Theorem 3.1 on the family
+// is TestTheoremFamily's and TestExhaustiveTheoremSmallPrograms', the
+// memo row on the random seeds is TestStreamingMatchesMaterializeRandom's,
+// and the memo and solve rows on the pinned programs naive enumeration
+// cannot finish are TestStreamingNaiveIntractableSeeds' and
+// TestSolveNaiveIntractableSeeds'. Tier-1 checks every 2,503rd family
+// member and 300 random seeds; -short every 25,013th member and 40
+// seeds; -family every 499th member.
 func TestOracles(t *testing.T) {
 	t.Run("family", func(t *testing.T) {
-		theoremStride, rowStride, shapes := 167, 2503, true
+		stride := 2503
 		switch {
 		case *familyPass:
-			theoremStride, rowStride = 1, 499
+			stride = 499
 		case testing.Short():
-			theoremStride, rowStride, shapes = 25013, 25013, false
+			stride = 25013
 		}
-		tally := runOracles(t, familySize, func(i int) (*litmus.Program, bool) {
-			switch {
-			case i%rowStride == 0:
-				return familyMember(i), false
-			case i%theoremStride == 0 || shapes && i < famShape1 && shape1Member(i).violationShape():
-				return familyMember(i), true
+		tally := runOracles(t, familySize, func(i int) (*litmus.Program, oracleScope) {
+			if i%stride != 0 {
+				return nil, oracleScope{}
 			}
-			return nil, false
+			return familyMember(i), oracleScope{}
 		})
 		sourceGuards(t, tally)
 	})
 	t.Run("random", func(t *testing.T) {
-		seeds := int64(300)
-		if testing.Short() {
-			seeds = 40
-		}
-		tally := runOracles(t, int(seeds), func(i int) (*litmus.Program, bool) {
-			return randomProgram(int64(i)), false
+		seeds := randomSeeds()
+		var symmetric atomic.Int64
+		tally := runOracles(t, seeds, func(i int) (*litmus.Program, oracleScope) {
+			p := randomProgram(int64(i))
+			if _, classes := symmetryClasses(p); len(classes) < len(p.Threads) {
+				symmetric.Add(1)
+			}
+			return p, oracleScope{rows: rowsExcept("memo")}
 		})
-		checks := 3 * seeds
-		t.Logf("%d seeds: %d of %d checks repeat an order, %d walk weighted under DRFrlx, %d have identical threads",
-			seeds, tally.memoized.Load(), checks, tally.weighted.Load(), tally.symmetric.Load())
-		// Guard against a generator that stops exercising the memo, the
-		// weighted walk, symmetry classes or the POR row.
-		if tally.memoized.Load() < seeds/4 {
-			t.Errorf("only %d of %d checks repeat an order", tally.memoized.Load(), checks)
-		}
-		if tally.weighted.Load() < seeds/30 {
-			t.Errorf("only %d of %d seeds walk a weighted path under DRFrlx", tally.weighted.Load(), seeds)
-		}
-		if tally.symmetric.Load() < seeds/10 {
-			t.Errorf("only %d of %d programs have identical threads", tally.symmetric.Load(), seeds)
+		// Guard against a generator that stops forming symmetry classes.
+		t.Logf("%d of %d seeds have identical threads", symmetric.Load(), seeds)
+		if symmetric.Load() < int64(seeds/10) {
+			t.Errorf("only %d of %d programs have identical threads", symmetric.Load(), seeds)
 		}
 		sourceGuards(t, tally)
 	})
 	t.Run("pinned", func(t *testing.T) {
 		progs := pinnedPrograms(t)
-		runOracles(t, len(progs), func(i int) (*litmus.Program, bool) { return progs[i], false })
+		runOracles(t, len(progs), func(i int) (*litmus.Program, oracleScope) {
+			if slices.Contains(naiveIntractable, progs[i].Name) {
+				return progs[i], oracleScope{rows: rowsExcept("memo", "solve")}
+			}
+			return progs[i], oracleScope{}
+		})
+	})
+}
+
+// TestTheoremFamily checks Theorem 3.1 under DRFrlx on shape 1 of the
+// family: every 167th member and every member of violationShape in
+// tier-1, every 1,009th under -short, and all 2,519,424 under -family.
+func TestTheoremFamily(t *testing.T) {
+	stride, shapes := 167, true
+	switch {
+	case *familyPass:
+		stride = 1
+	case testing.Short():
+		stride, shapes = 1009, false
+	}
+	tally := runOracles(t, famShape1, func(i int) (*litmus.Program, oracleScope) {
+		if i%stride == 0 || shapes && shape1Member(i).violationShape() {
+			return familyMember(i), theoremScope
+		}
+		return nil, oracleScope{}
+	})
+	sourceGuards(t, tally)
+}
+
+// TestExhaustiveTheoremSmallPrograms checks Theorem 3.1 under DRFrlx on
+// shape 2 of the family, every two-thread program of two loads or stores
+// per thread on X and Y labelled data, paired, unpaired or non-ordering:
+// every 7th member in tier-1, every 167th under -short, and all 65,536
+// under -family.
+func TestExhaustiveTheoremSmallPrograms(t *testing.T) {
+	stride := 7
+	switch {
+	case *familyPass:
+		stride = 1
+	case testing.Short():
+		stride = 167
+	}
+	tally := runOracles(t, familySize-famShape1, func(k int) (*litmus.Program, oracleScope) {
+		if k%stride != 0 {
+			return nil, oracleScope{}
+		}
+		return familyMember(famShape1 + k), theoremScope
+	})
+	sourceGuards(t, tally)
+}
+
+// TestTheoremPropertyRandom checks Theorem 3.1 under DRFrlx on random
+// seeds 0-1,499 (0-149 under -short) and on the pinned programs of the
+// earlier generator's seeds it covered: the three naive enumeration
+// cannot finish, and 26225 and 28076, which hold only because the
+// validator widens the quantum domain. An enumeration past the limit
+// fails the test.
+func TestTheoremPropertyRandom(t *testing.T) {
+	seeds := 1500
+	if testing.Short() {
+		seeds = 150
+	}
+	pinned := pinnedPrograms(t, "pinned346", "pinned960", "pinned5861", "pinned26225", "pinned28076")
+	tally := runOracles(t, seeds+len(pinned), func(i int) (*litmus.Program, oracleScope) {
+		if i >= seeds {
+			return pinned[i-seeds], theoremScope
+		}
+		return randomProgram(int64(i)), theoremScope
+	})
+	sourceGuards(t, tally)
+}
+
+// TestStreamingMatchesMaterializeRandom runs the memo row on
+// TestOracles' random seeds under every model, and guards against a
+// generator that stops exercising the order memo or the weighted walk.
+func TestStreamingMatchesMaterializeRandom(t *testing.T) {
+	seeds := randomSeeds()
+	tally := runOracles(t, seeds, func(i int) (*litmus.Program, oracleScope) {
+		return randomProgram(int64(i)), oracleScope{rows: []string{"memo"}}
+	})
+	t.Logf("%d seeds: %d of %d checks repeat an order, %d walk weighted under DRFrlx",
+		seeds, tally.memoized.Load(), 3*seeds, tally.weighted.Load())
+	if tally.memoized.Load() < int64(seeds/4) {
+		t.Errorf("only %d of %d checks repeat an order", tally.memoized.Load(), 3*seeds)
+	}
+	if tally.weighted.Load() < int64(seeds/30) {
+		t.Errorf("only %d of %d seeds walk a weighted path under DRFrlx", tally.weighted.Load(), seeds)
+	}
+}
+
+// TestStreamingNaiveIntractableSeeds runs the memo row on the pinned
+// programs naive enumeration cannot finish: the streaming check
+// completes under partial-order reduction and agrees with the two-phase
+// reference.
+func TestStreamingNaiveIntractableSeeds(t *testing.T) {
+	progs := pinnedPrograms(t, naiveIntractable...)
+	runOracles(t, len(progs), func(i int) (*litmus.Program, oracleScope) {
+		return progs[i], oracleScope{rows: []string{"memo"}}
+	})
+}
+
+// TestSolveNaiveIntractableSeeds runs the solve row on the pinned
+// programs naive enumeration cannot finish.
+func TestSolveNaiveIntractableSeeds(t *testing.T) {
+	progs := pinnedPrograms(t, naiveIntractable...)
+	runOracles(t, len(progs), func(i int) (*litmus.Program, oracleScope) {
+		return progs[i], oracleScope{rows: []string{"solve"}}
 	})
 }
