@@ -259,6 +259,7 @@ func checkFile(path string, witness, infer bool, serveURL string, diffMode bool,
 		fmt.Fprintln(os.Stderr, "ratslitmus:", err)
 		return classifyLocal(err, true)
 	}
+	var drfrlx *memmodel.Verdict
 	for _, m := range core.Models() {
 		if diffMode {
 			out, code, err := localDiffText(p, m, deadline, opts)
@@ -277,6 +278,9 @@ func checkFile(path string, witness, infer bool, serveURL string, diffMode bool,
 			return classifyLocal(err, false)
 		}
 		fmt.Println(v.Summary())
+		if m == core.DRFrlx {
+			drfrlx = v
+		}
 		if witness && !v.Legal {
 			w, err := memmodel.FindWitness(p, m)
 			if err != nil {
@@ -311,7 +315,9 @@ func checkFile(path string, witness, infer bool, serveURL string, diffMode bool,
 		}
 	}
 
-	rep, err := memmodel.ValidateTheorem(p)
+	// The theorem compares the system model's results with the DRFrlx
+	// verdict the model loop already computed, in the loop's mode.
+	rep, err := memmodel.ValidateTheoremVerdict(p, drfrlx, opts.Limit, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ratslitmus:", err)
 		return classifyLocal(err, false)

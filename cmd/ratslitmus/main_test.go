@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -28,5 +30,29 @@ func TestRenderCaseNamesViolatingResults(t *testing.T) {
 	r.Theorem.SystemSC, r.Theorem.NonSCResults = true, nil
 	if out, fail := renderCase(r, true); !strings.HasSuffix(out, ": theorem holds\n") || fail != 0 {
 		t.Errorf("renderCase = %q with %d failures for a report that holds", out, fail)
+	}
+}
+
+// TestCheckFileSolveTheorem: -file checks each model once and validates
+// Theorem 3.1 from the DRFrlx verdict of that loop, so in solve mode a
+// program the solver decides, but whose enumeration exceeds the
+// execution limit, passes with the theorem checked.
+func TestCheckFileSolveTheorem(t *testing.T) {
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = out
+	path := filepath.Join("..", "ratsserve", "testdata", "intractable.litmus")
+	code := checkFile(path, false, false, "", false, 0, memmodel.CheckOptions{Mode: memmodel.ModeSolve})
+	os.Stdout = stdout
+	out.Close()
+	text, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != exitOK || !strings.Contains(string(text), "Theorem 3.1 holds") {
+		t.Errorf("checkFile exit %d, want %d, printing:\n%s", code, exitOK, text)
 	}
 }

@@ -411,18 +411,47 @@ func solveMatchesEnumerate(c *oracleCase) error {
 }
 
 // canonicalRoundTrip is the verdict cache's premise: checking the
-// canonical program and rewriting its verdict into the program's names
-// gives the program's own verdict.
+// canonical program in either mode and rewriting its verdict into the
+// program's names gives the program's own verdict. The canonical program
+// is also its own canonical form, so the service, which checks it,
+// checks what a direct check of that program would.
 func canonicalRoundTrip(c *oracleCase) error {
 	can, err := Canonicalize(c.p)
 	if err != nil {
 		return err
 	}
-	v, err := CheckProgram(can.Prog, c.m)
+	again, err := Canonicalize(can.Prog)
 	if err != nil {
 		return err
 	}
-	return equalUpToExecs(can.RewriteVerdict(v, c.p.Name), c.v)
+	if again.Key != can.Key || !isIdentity(again.ThreadOf) {
+		return fmt.Errorf("canonical program is not its own canonical form: key %s, thread order %v", again.Key, again.ThreadOf)
+	}
+	for cl, l := range again.LocOf {
+		if cl != l {
+			return fmt.Errorf("canonicalizing the canonical program renames %s to %s", l, cl)
+		}
+	}
+	for _, mode := range []Mode{ModeEnumerate, ModeSolve} {
+		v, err := CheckProgramWith(can.Prog, c.m, CheckOptions{Mode: mode})
+		if err != nil {
+			return err
+		}
+		if err := equalUpToExecs(can.RewriteVerdict(v, c.p.Name), c.v); err != nil {
+			return fmt.Errorf("mode %q: %w", mode, err)
+		}
+	}
+	return nil
+}
+
+// isIdentity reports whether perm maps every index to itself.
+func isIdentity(perm []int) bool {
+	for i, j := range perm {
+		if i != j {
+			return false
+		}
+	}
+	return true
 }
 
 // memoMatchesTwoPhase: the memo-free two-phase reference reaches the

@@ -227,7 +227,9 @@ type Verdict struct {
 	// choices reach the same state, so the checker walks only the first).
 	// The enumerator applies partial-order reduction, so this counts one
 	// representative per trace of commuting accesses, not every
-	// interleaving.
+	// interleaving. In ModeSolve it counts the executions the solver's
+	// confirmation search (phase 2 of solve.go) walked on the program as
+	// given: 0 when the static split decided every pair.
 	Execs int
 	// SCResults is the set of final memory states over all SC executions
 	// of the (quantum-equivalent) program.
@@ -541,6 +543,9 @@ func finishVerdict(name string, m core.Model, parts []*partialVerdict, tel *tele
 
 // Summary renders the verdict as a one-line description for reports.
 func (v *Verdict) Summary() string {
+	if v.Legal && v.Execs == 0 {
+		return fmt.Sprintf("%s under %s: LEGAL (%d SC results, no execution enumerated)", v.Prog, v.Model, len(v.SCResults))
+	}
 	if v.Legal {
 		return fmt.Sprintf("%s under %s: LEGAL (%d SC executions)", v.Prog, v.Model, v.Execs)
 	}

@@ -242,3 +242,28 @@ func TestVerdictSummary(t *testing.T) {
 		t.Error("work queue summary/legality wrong")
 	}
 }
+
+// TestSolvedSummaryCountsResults: the solver's static split decides two
+// threads of disjoint stores without enumerating an execution, so the
+// summary reports the SC result count, not "0 SC executions"; the
+// enumerating check of the same program walks its one execution.
+func TestSolvedSummaryCountsResults(t *testing.T) {
+	p := litmus.New("disjoint")
+	p.Thread("a").Store("X", 1, core.Data)
+	p.Thread("b").Store("Y", 1, core.Data)
+	for _, tc := range []struct {
+		mode Mode
+		want string
+	}{
+		{ModeEnumerate, "disjoint under DRFrlx: LEGAL (1 SC executions)"},
+		{ModeSolve, "disjoint under DRFrlx: LEGAL (1 SC results, no execution enumerated)"},
+	} {
+		v, err := CheckProgramWith(p, core.DRFrlx, CheckOptions{Mode: tc.mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := v.Summary(); s != tc.want {
+			t.Errorf("mode %q: summary %q, want %q", tc.mode, s, tc.want)
+		}
+	}
+}

@@ -14,7 +14,6 @@ import (
 // program/conflict-graph reachability relations the non-ordering detector
 // needs.
 type relations struct {
-	N int
 	// Core relations.
 	PO       rel.Rel // program order
 	Conflict rel.Rel // symmetric conflict (same loc, ≥1 write)
@@ -29,13 +28,10 @@ type relations struct {
 	POPath rel.Rel // G* ; po ; G*  (paths containing ≥1 po edge)
 
 	// Event sets.
-	Present        []bool
-	IsW, IsR       []bool
-	IsAtomic, IsPU []bool // PU: paired or unpaired
-	Class          []core.Class
-	Observed       []bool // loaded value feeds a later dependency
-	SameLoc        rel.Rel
-	ValidPath      rel.Rel // hb1 ∪ homogeneous valid ordering paths
+	IsW, IsR  []bool
+	Observed  []bool // loaded value feeds a later dependency
+	SameLoc   rel.Rel
+	ValidPath rel.Rel // hb1 ∪ homogeneous valid ordering paths
 }
 
 // analyzer is a reusable race-analysis context: it owns every relation,
@@ -121,7 +117,6 @@ func (a *analyzer) ensure(p *litmus.Program) {
 	a.n = n
 
 	r := &a.rels
-	r.N = n
 	rels := [...]*rel.Rel{
 		&r.PO, &r.Conflict, &r.CO, &r.SO1, &r.HB1, &r.Race,
 		&r.G, &r.Reach, &r.POPath, &r.SameLoc, &r.ValidPath,
@@ -142,16 +137,9 @@ func (a *analyzer) ensure(p *litmus.Program) {
 		}
 	}
 
-	r.Present = boolBuf(r.Present, n)
 	r.IsW = boolBuf(r.IsW, n)
 	r.IsR = boolBuf(r.IsR, n)
-	r.IsAtomic = boolBuf(r.IsAtomic, n)
-	r.IsPU = boolBuf(r.IsPU, n)
 	r.Observed = boolBuf(r.Observed, n)
-	if cap(r.Class) < n {
-		r.Class = make([]core.Class, n)
-	}
-	r.Class = r.Class[:n]
 
 	if !sameN {
 		bits := rel.MakeBitsSlab(n, 12)
@@ -314,14 +302,10 @@ func (a *analyzer) buildRelations(ex *Execution) *relations {
 	n := a.n
 	r := &a.rels
 
-	copy(r.Class, a.evClass)
 	for i := 0; i < n; i++ {
 		pres := ex.Present[i]
-		r.Present[i] = pres
 		r.IsW[i] = pres && a.evWrites[i]
 		r.IsR[i] = pres && a.evReads[i]
-		r.IsAtomic[i] = pres && a.atomicStatic.Has(i)
-		r.IsPU[i] = pres && a.puStatic.Has(i)
 	}
 	a.observedInto(r.Observed, ex)
 

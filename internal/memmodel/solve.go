@@ -33,11 +33,12 @@
 //     DPLL vocabulary (branching states, forced moves, memo hits,
 //     memoized states).
 //
-// The solver is verdict-only and exact: it reports precisely the
-// race pairs and SC results the enumerator would, byte-identical after
-// canonical-namespace rewriting, while heavily contended programs whose
-// interleaving count is intractable resolve statically or stop early.
-// The enumerator remains the differential oracle (FuzzSolveMatchesEnumerate).
+// The solver is verdict-only and exact: it checks the program as given
+// (the canonical form of canon.go is only the checking service's cache
+// key) and reports precisely the race pairs and SC results the
+// enumerator would, while heavily contended programs whose interleaving
+// count is intractable resolve statically or stop early. The enumerator
+// remains the differential oracle (FuzzSolveMatchesEnumerate).
 
 package memmodel
 
@@ -51,19 +52,12 @@ import (
 )
 
 // solveCheck is CheckProgramWith's ModeSolve: the three phases above on
-// p0's canonical program, rewritten back into p0's namespace.
+// p0 under m.
 func solveCheck(p0 *litmus.Program, m core.Model, opts CheckOptions) (*Verdict, error) {
-	// Solving on the canonical program realizes variable-symmetry
-	// reduction (thread order and location names are normalized away);
-	// the verdict is rewritten back into the submitter's namespace at
-	// the end. The canonical program is freshly built per call, so
-	// renaming it lets inner search errors name the submitted program.
-	can, err := Canonicalize(p0)
-	if err != nil {
+	if err := p0.Validate(); err != nil {
 		return nil, err
 	}
-	can.Prog.Name = p0.Name
-	p := can.Prog.Under(m)
+	p := p0.Under(m)
 
 	tel := opts.Telemetry
 	effLimit := opts.Limit
@@ -163,7 +157,7 @@ func solveCheck(p0 *litmus.Program, m core.Model, opts CheckOptions) (*Verdict, 
 	tel.AddSolve(st.Decisions, st.Propagations+cs.nImplied, st.MemoHits+cs.nRefuted, st.Learned)
 
 	v := &Verdict{
-		Model: m, Legal: true,
+		Prog: p0.Name, Model: m, Legal: true,
 		Races:     map[RaceKind][]string{},
 		SCResults: scResults,
 		Execs:     execs,
@@ -184,9 +178,8 @@ func solveCheck(p0 *litmus.Program, m core.Model, opts CheckOptions) (*Verdict, 
 		distinct += int64(len(descs))
 	}
 	tel.SetUnion(distinct, distinct, int64(len(scResults)))
-	out := can.RewriteVerdict(v, p0.Name)
 	tel.Finish(telemetry.StateDone)
-	return out, nil
+	return v, nil
 }
 
 // constraints is the solver's static decision state: per race kind, the
